@@ -19,52 +19,109 @@ Quickstart::
     print(cluster.log.throughput(30.0, 60.0), "ops/s")
 """
 
-from repro.analysis import (
-    MvaThroughputModel,
-    WorkloadPoint,
-    measure_throughput,
-    sweep_configurations,
-)
-from repro.autonomic import AutonomicManager, QOptSystem, attach_qopt
-from repro.common import (
-    AutonomicConfig,
-    ClusterConfig,
-    NetworkConfig,
-    NodeId,
-    OpType,
-    ProxyConfig,
-    QuorumConfig,
-    ReproError,
-    StorageConfig,
-    Version,
-    VersionStamp,
-)
-from repro.metrics import LatencySummary, OperationLog, Timeline
-from repro.oracle import (
-    BoostedTreeClassifier,
-    DecisionTreeClassifier,
-    QuorumOracle,
-    generate_training_set,
-)
-from repro.reconfig import (
-    BlockingReconfigurationManager,
-    ReconfigurationManager,
-    attach_blocking_manager,
-    attach_reconfiguration_manager,
-)
-from repro.sds import QuorumPlan, SwiftCluster, build_cluster
-from repro.sim import Simulator
-from repro.topk import SpaceSaving
-from repro.workloads import (
-    MixedWorkload,
-    PhasedWorkload,
-    SyntheticWorkload,
-    WorkloadSpec,
-    sweep_specs,
-    ycsb,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.analysis import (
+        MvaThroughputModel,
+        WorkloadPoint,
+        measure_throughput,
+        sweep_configurations,
+    )
+    from repro.autonomic import AutonomicManager, QOptSystem, attach_qopt
+    from repro.common import (
+        AutonomicConfig,
+        ClusterConfig,
+        NetworkConfig,
+        NodeId,
+        OpType,
+        ProxyConfig,
+        QuorumConfig,
+        ReproError,
+        StorageConfig,
+        Version,
+        VersionStamp,
+    )
+    from repro.metrics import LatencySummary, OperationLog, Timeline
+    from repro.oracle import (
+        BoostedTreeClassifier,
+        DecisionTreeClassifier,
+        QuorumOracle,
+        generate_training_set,
+    )
+    from repro.reconfig import (
+        BlockingReconfigurationManager,
+        ReconfigurationManager,
+        attach_blocking_manager,
+        attach_reconfiguration_manager,
+    )
+    from repro.sds import QuorumPlan, SwiftCluster, build_cluster
+    from repro.sim import Simulator
+    from repro.topk import SpaceSaving
+    from repro.workloads import (
+        MixedWorkload,
+        PhasedWorkload,
+        SyntheticWorkload,
+        WorkloadSpec,
+        sweep_specs,
+        ycsb,
+    )
 
 __version__ = "1.0.0"
+
+# Import on use: a live worker imports ``repro`` on its way to
+# ``repro.net`` and must not pay for the harness, the Oracle or numpy.
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis": (
+            "MvaThroughputModel",
+            "WorkloadPoint",
+            "measure_throughput",
+            "sweep_configurations",
+        ),
+        "repro.autonomic": ("AutonomicManager", "QOptSystem", "attach_qopt"),
+        "repro.common": (
+            "AutonomicConfig",
+            "ClusterConfig",
+            "NetworkConfig",
+            "NodeId",
+            "OpType",
+            "ProxyConfig",
+            "QuorumConfig",
+            "ReproError",
+            "StorageConfig",
+            "Version",
+            "VersionStamp",
+        ),
+        "repro.metrics": ("LatencySummary", "OperationLog", "Timeline"),
+        "repro.oracle": (
+            "BoostedTreeClassifier",
+            "DecisionTreeClassifier",
+            "QuorumOracle",
+            "generate_training_set",
+        ),
+        "repro.reconfig": (
+            "BlockingReconfigurationManager",
+            "ReconfigurationManager",
+            "attach_blocking_manager",
+            "attach_reconfiguration_manager",
+        ),
+        "repro.sds": ("QuorumPlan", "SwiftCluster", "build_cluster"),
+        "repro.sim": ("Simulator",),
+        "repro.topk": ("SpaceSaving",),
+        "repro.workloads": (
+            "MixedWorkload",
+            "PhasedWorkload",
+            "SyntheticWorkload",
+            "WorkloadSpec",
+            "sweep_specs",
+            "ycsb",
+        ),
+    },
+)
 
 __all__ = [
     "AutonomicConfig",

@@ -4,6 +4,10 @@
 prints its table.  Commands map 1:1 onto the harness regenerators
 (DESIGN.md's E1-E8); ``--fast`` trades precision for runtime by
 shrinking simulation durations.
+
+Each handler imports its harness on use: every ``python -m repro serve``
+worker passes through this module on its way to :mod:`repro.net.cli`,
+and the harness drags in the analysis model, the Oracle and numpy.
 """
 
 from __future__ import annotations
@@ -12,21 +16,7 @@ import argparse
 import sys
 from typing import Callable, Optional, Sequence
 
-from repro.analysis.mva import MvaThroughputModel, WorkloadPoint
 from repro.common.config import AutonomicConfig, ClusterConfig
-from repro.harness.figures import (
-    figure2,
-    figure3,
-    oracle_accuracy,
-    tuning_impact,
-)
-from repro.harness.runtime import (
-    dynamic_adaptation,
-    per_object_vs_global,
-    qopt_vs_static,
-    reconfiguration_overhead,
-)
-from repro.harness.tables import render_table
 
 
 def _fast_am() -> AutonomicConfig:
@@ -36,6 +26,8 @@ def _fast_am() -> AutonomicConfig:
 
 
 def _cmd_figure2(args: argparse.Namespace) -> str:
+    from repro.harness.figures import figure2
+
     duration = 5.0 if args.fast else 8.0
     result = figure2(
         cluster_config=ClusterConfig(num_proxies=1, clients_per_proxy=10),
@@ -47,19 +39,27 @@ def _cmd_figure2(args: argparse.Namespace) -> str:
 
 
 def _cmd_figure3(args: argparse.Namespace) -> str:
+    from repro.harness.figures import figure3
+
     return figure3(clients=10).render(sample=24)
 
 
 def _cmd_tuning_impact(args: argparse.Namespace) -> str:
+    from repro.harness.figures import tuning_impact
+
     return tuning_impact(clients=10).render()
 
 
 def _cmd_oracle(args: argparse.Namespace) -> str:
+    from repro.harness.figures import oracle_accuracy
+
     folds = 5 if args.fast else 10
     return oracle_accuracy(folds=folds, seed=args.seed).render()
 
 
 def _cmd_qopt_vs_static(args: argparse.Namespace) -> str:
+    from repro.harness.runtime import qopt_vs_static
+
     scale = 0.5 if args.fast else 1.0
     result = qopt_vs_static(
         autonomic_config=_fast_am(),
@@ -73,11 +73,15 @@ def _cmd_qopt_vs_static(args: argparse.Namespace) -> str:
 
 
 def _cmd_reconfig_overhead(args: argparse.Namespace) -> str:
+    from repro.harness.runtime import reconfiguration_overhead
+
     result = reconfiguration_overhead(seed=args.seed)
     return result.render()
 
 
 def _cmd_dynamic(args: argparse.Namespace) -> str:
+    from repro.harness.runtime import dynamic_adaptation
+
     scale = 0.5 if args.fast else 1.0
     result = dynamic_adaptation(
         autonomic_config=_fast_am(),
@@ -89,6 +93,8 @@ def _cmd_dynamic(args: argparse.Namespace) -> str:
 
 
 def _cmd_per_object(args: argparse.Namespace) -> str:
+    from repro.harness.runtime import per_object_vs_global
+
     scale = 0.5 if args.fast else 1.0
     result = per_object_vs_global(
         static_duration=8.0 * scale,
@@ -101,6 +107,9 @@ def _cmd_per_object(args: argparse.Namespace) -> str:
 
 def _cmd_predict(args: argparse.Namespace) -> str:
     """One MVA sweep: throughput of every configuration for a workload."""
+    from repro.analysis.mva import MvaThroughputModel, WorkloadPoint
+    from repro.harness.tables import render_table
+
     model = MvaThroughputModel(ClusterConfig())
     point = WorkloadPoint(
         write_ratio=args.write_ratio, object_size=args.object_size

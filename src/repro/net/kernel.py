@@ -6,7 +6,11 @@ manager — is written as generators that talk to a tiny kernel surface:
 ``spawn()``.  :class:`RealtimeKernel` implements exactly that surface on
 top of the asyncio event loop, so the *unmodified* generators execute in
 real time: ``schedule(delay, ...)`` becomes ``loop.call_later`` and
-``now`` reads the wall clock.
+``now`` reads the wall clock.  ``sleep()``/``timeout()`` keep their loop
+handle, so cancelling the :class:`~repro.sim.kernel.Timer` they return
+frees the heap entry and everything its callback referenced at once —
+what a node holds is bounded by its work in flight, not by request rate
+times deadline.
 
 ``now`` is ``time.time()`` (not ``loop.time()``): version stamps are
 ordered ``(timestamp, proxy)`` under the paper's globally-synchronized
@@ -15,7 +19,7 @@ host (or NTP-synced hosts) share.  A per-kernel monotonic clamp protects
 stamp order from small backwards steps of the wall clock.
 
 Everything layered on the sim kernel — :class:`~repro.sim.network.Mailbox`,
-:class:`~repro.sim.primitives.Resource`, ``any_of`` — only uses this
+:class:`~repro.sim.primitives.Resource`, ``wait_for`` — only uses this
 surface, so it all runs unchanged too.
 """
 
@@ -27,7 +31,7 @@ import time
 from typing import Any, Callable, Optional
 
 from repro.common.errors import SimulationError
-from repro.sim.kernel import Future, Process, ProcessGen, Simulator
+from repro.sim.kernel import Future, Process, ProcessGen, Simulator, Timer
 
 logger = logging.getLogger(__name__)
 
@@ -53,6 +57,13 @@ class RealtimeKernel(Simulator):
         #: (the sim kernel raises out of ``step()``; a live server must
         #: keep running, so crashes are logged and collected instead).
         self.crashes: list[tuple[str, BaseException]] = []
+        #: ``sleep()``/``timeout()`` timers armed, cancelled before they
+        #: fired, and fired; exported on ``/metrics``.  What is armed and
+        #: neither cancelled nor fired is what the loop's heap still
+        #: holds, so it tracks the work in flight, not the request rate.
+        self.timers_armed: int = 0
+        self.timers_cancelled: int = 0
+        self.timers_fired: int = 0
         self.now = time.time()
 
     # -- clock ---------------------------------------------------------------
@@ -80,15 +91,42 @@ class RealtimeKernel(Simulator):
         self, delay: float, callback: Callable[..., None], *args: Any
     ) -> None:
         """Run ``callback(*args)`` after ``delay`` wall-clock seconds."""
+        self._call(delay, callback, args)
+
+    def _call(
+        self, delay: float, callback: Callable[..., None], args: tuple
+    ) -> asyncio.Handle:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past: {delay}")
         if delay == 0:
-            self._loop.call_soon(self._dispatch, callback, args)
-        else:
-            self._loop.call_later(delay, self._dispatch, callback, args)
+            return self._loop.call_soon(self._dispatch, callback, args)
+        return self._loop.call_later(delay, self._dispatch, callback, args)
 
     def _schedule_now(self, callback: Callable[..., None], *args: Any) -> None:
         self._loop.call_soon(self._dispatch, callback, args)
+
+    def _arm(self, timer: Timer, delay: float, value: Any) -> None:
+        timer._handle = self._call(delay, self._expire, (timer, value))
+        self.timers_armed += 1
+
+    def _expire(self, timer: Timer, value: Any) -> None:
+        timer._handle = None
+        self.timers_fired += 1
+        timer.resolve(value)
+
+    def _disarm(self, timer: Timer) -> None:
+        """Cancel the loop handle: the heap entry, its callback and
+        everything that references are released now, not at expiry."""
+        handle = timer._handle
+        if handle is not None:
+            timer._handle = None
+            handle.cancel()
+            self.timers_cancelled += 1
+
+    @property
+    def timers_pending(self) -> int:
+        """Timers armed and neither cancelled nor fired yet."""
+        return self.timers_armed - self.timers_cancelled - self.timers_fired
 
     def post(self, callback: Callable[..., None], *args: Any) -> None:
         """Hand work from asyncio code into the kernel.

@@ -205,6 +205,20 @@ class NodeRuntime:
             help="kernel callbacks dispatched", shard=shard, node=node,
         ).set(float(self.kernel.events_processed))
         registry.gauge(
+            "qopt_kernel_timers_armed_total",
+            help="sleep/timeout timers armed", shard=shard, node=node,
+        ).set(float(self.kernel.timers_armed))
+        registry.gauge(
+            "qopt_kernel_timers_cancelled_total",
+            help="timers cancelled before firing (their wait completed)",
+            shard=shard, node=node,
+        ).set(float(self.kernel.timers_cancelled))
+        registry.gauge(
+            "qopt_kernel_timers_pending",
+            help="timers armed and neither cancelled nor fired",
+            shard=shard, node=node,
+        ).set(float(self.kernel.timers_pending))
+        registry.gauge(
             "qopt_kernel_crashes_total",
             help="unhandled process crashes", shard=shard, node=node,
         ).set(float(len(self.kernel.crashes)))

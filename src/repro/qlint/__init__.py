@@ -10,10 +10,11 @@ Four analyzer families over the ``repro`` source tree:
   ``QuorumPlan`` that can reach the data plane must pass through
   ``validate_strict`` (R + W > N, max(R, W) <= N), and statically
   decidable violations are reported at lint time.
-* **Concurrency analyzer** (QC001-QC004): CFG-based interleaving checks
+* **Concurrency analyzer** (QC001-QC005): CFG-based interleaving checks
   across suspension points (``await`` / simulator ``yield``) —
-  check-then-act races, shared-container iteration, and stale
-  epoch/cfg/plan/ring captures.
+  check-then-act races, shared-container iteration, stale
+  epoch/cfg/plan/ring and lease captures, and deadlines armed inside
+  ``any_of`` that nothing cancels.
 * **Protocol analyzer** (QP001-QP002): wire-registry exhaustiveness and
   append-only ordering, plus symbolic ``R + W > N`` verification at
   quorum-arithmetic sites.

@@ -208,7 +208,7 @@ FunctionNode = (ast.FunctionDef, ast.AsyncFunctionDef)
 #: Call-name suffixes whose yielded result suspends a protocol coroutine.
 #: The simulator's processes are plain generators: they ``yield`` futures
 #: and waitables (``sim.sleep(...)``, ``resource.use(...)``,
-#: ``gate.wait()``, ``mutex.acquire()``, ``any_of(...)``) and the kernel
+#: ``gate.wait()``, ``mutex.acquire()``, ``wait_for(...)``) and the kernel
 #: resumes them later — exactly an ``await``.  A generator containing at
 #: least one such yield is classified as a *protocol coroutine* and every
 #: one of its yields is then treated as a suspension point.
@@ -222,6 +222,7 @@ WAITABLE_CALL_NAMES = frozenset(
         "future",
         "any_of",
         "all_of",
+        "wait_for",
         "gather",
         "spawn",
     }

@@ -1,4 +1,4 @@
-"""Concurrency linters (rules QC001-QC004).
+"""Concurrency linters (rules QC001-QC005).
 
 Q-OPT's proxies, replicas, and reconfiguration managers are cooperative
 coroutines: simulator processes (generators yielding waitables) and the
@@ -37,6 +37,15 @@ QC004  stale-captured-lease-value
     change, or plain expiry — so a grant or expiry captured before a
     suspension says nothing about validity after it (invariant I7:
     the primary must re-validate the grant after every wait).
+
+QC005  uncancelled-deadline
+    ``any_of(sim, [future, sim.sleep(t)])`` (or ``.timeout(t)``) in a
+    protocol coroutine: when the future wins, nothing cancels the timer,
+    so its callback chain pins whatever the finished wait produced until
+    ``t`` elapses — on the live kernel a node's memory then grows as
+    rate x deadline instead of with the work in flight.  Use
+    ``wait_for(sim, future, t)``, which owns the timer and cancels the
+    loser.
 
 Suspension points are ``await`` expressions and — in classified
 *protocol coroutines* (see :func:`repro.qlint.astutils.classify_coroutines`)
@@ -207,9 +216,9 @@ _EmitFn = Callable[
 
 
 class ConcurrencyLinter:
-    """CFG-based interleaving checks for one file (QC001-QC004)."""
+    """CFG-based interleaving checks for one file (QC001-QC005)."""
 
-    rules = ("QC001", "QC002", "QC003", "QC004")
+    rules = ("QC001", "QC002", "QC003", "QC004", "QC005")
 
     def run(self, source: SourceFile) -> list[Finding]:
         findings: list[Finding] = []
@@ -255,6 +264,7 @@ class ConcurrencyLinter:
         findings.extend(
             self._iteration_check(source, symbol, cfg, include_yields)
         )
+        findings.extend(self._deadline_check(source, symbol, cfg))
         findings.extend(
             self._dataflow(
                 source,
@@ -517,6 +527,54 @@ class ConcurrencyLinter:
                 )
             )
         return findings
+
+    # -- QC005 --------------------------------------------------------------
+
+    def _deadline_check(
+        self, source: SourceFile, symbol: str, cfg: CFG
+    ) -> list[Finding]:
+        findings: list[Finding] = []
+        for stmt in cfg.stmts:
+            for expr in own_expressions(stmt):
+                for call in walk_own(expr):
+                    if not isinstance(call, ast.Call):
+                        continue
+                    name = dotted_name(call.func) or ""
+                    if name.rpartition(".")[2] != "any_of":
+                        continue
+                    timer = self._inline_timer(call)
+                    if timer is None:
+                        continue
+                    findings.append(
+                        self._finding(
+                            source,
+                            timer,
+                            "QC005",
+                            f"`.{timer.attr}(...)` armed inside "
+                            "`any_of([...])` is never cancelled when the "
+                            "other future wins — it pins the finished "
+                            "wait's result until it fires; use "
+                            "`wait_for(sim, future, timeout)`",
+                            symbol,
+                        )
+                    )
+        return findings
+
+    @staticmethod
+    def _inline_timer(any_of_call: ast.Call) -> Optional[ast.Attribute]:
+        """The callee of the first ``*.sleep(...)``/``*.timeout(...)``
+        call written directly in the list passed to ``any_of``, if any."""
+        for arg in any_of_call.args:
+            if not isinstance(arg, (ast.List, ast.Tuple)):
+                continue
+            for element in arg.elts:
+                if (
+                    isinstance(element, ast.Call)
+                    and isinstance(element.func, ast.Attribute)
+                    and element.func.attr in {"sleep", "timeout"}
+                ):
+                    return element.func
+        return None
 
     @staticmethod
     def _shared_iterable(node: ast.expr) -> Optional[str]:

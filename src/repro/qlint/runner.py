@@ -58,7 +58,7 @@ DETERMINISM_PACKAGES = (
 )
 
 #: Bump when rule semantics change — invalidates result caches.
-RULESET_VERSION = "2"
+RULESET_VERSION = "3"
 
 ALL_RULES = (
     tuple(DeterminismLinter.rules)
@@ -81,6 +81,7 @@ RULE_SUMMARIES = {
     "QC002": "shared-container iteration with a suspension in the body",
     "QC003": "captured epoch/cfg/plan/ring value stale after suspension",
     "QC004": "captured lease/grant/expiry value stale after suspension",
+    "QC005": "timer armed inside any_of([...]) is never cancelled",
     "QP001": "wire-registry exhaustiveness / append-only order",
     "QP002": "provable R+W>N violation in quorum arithmetic",
 }

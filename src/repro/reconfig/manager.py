@@ -60,7 +60,7 @@ from repro.sim.failure import SuspicionSource
 from repro.sim.kernel import Future, Process, Simulator
 from repro.sim.network import Envelope
 from repro.sim.node import Node
-from repro.sim.primitives import Mutex, any_of
+from repro.sim.primitives import Mutex, wait_for
 
 if TYPE_CHECKING:
     from repro.sds.cluster import SwiftCluster
@@ -369,12 +369,7 @@ class ReconfigurationManager(Node):
         # Storage nodes re-ack duplicate NEWEPs for adopted epochs, so
         # retransmitting until an ack quorum forms tolerates lost NEWEPs
         # and lost acks alike.
-        while not done.done:
-            yield any_of(
-                self.sim, [done, self.sim.sleep(self._retransmit)]
-            )
-            if done.done:
-                break
+        while not (yield wait_for(self.sim, done, self._retransmit)):
             for node in self._storage_nodes:
                 if node in self._epoch_acks[epoch_no]:
                     continue

@@ -59,7 +59,7 @@ from repro.net.transport import Transport
 from repro.sim.kernel import Future, Simulator
 from repro.sim.network import Envelope
 from repro.sim.node import Node
-from repro.sim.primitives import any_of
+from repro.sim.primitives import wait_for
 
 #: Wire overhead of a request/reply beyond the object payload, bytes.
 _HEADER_BYTES = 256
@@ -389,11 +389,10 @@ class ClientNode(Node):
                 )
                 trace = attempt_span.context()
             future = self._issue(operation, request_id, target, trace=trace)
-            yield any_of(
-                self.sim,
-                [future, self.sim.sleep(policy.attempt_timeout)],
+            replied = yield wait_for(
+                self.sim, future, policy.attempt_timeout
             )
-            if not future.done:
+            if not replied:
                 # Attempt deadline hit: abandon this request id so a late
                 # reply is ignored, then back off and retry.
                 self._pending.pop(request_id, None)

@@ -70,10 +70,10 @@ from repro.net.transport import Transport
 from repro.sds.quorum import ConfigurationHistory, QuorumPlan
 from repro.sds.ring import PlacementRing, _hash64
 from repro.sds.vector_clocks import TimestampVersioning
-from repro.sim.kernel import Future, Simulator
+from repro.sim.kernel import Future, Simulator, Timer
 from repro.sim.network import Envelope
 from repro.sim.node import Node
-from repro.sim.primitives import Gate, PendingCounter, Resource, any_of
+from repro.sim.primitives import Gate, PendingCounter, Resource, wait_for
 from repro.topk.stats import ProxyStatsRecorder
 
 #: Wire overhead of a request/reply beyond the object payload, bytes.
@@ -664,11 +664,10 @@ class ProxyNode(Node):
                 size=_HEADER_BYTES,
                 trace=trace,
             )
-            yield any_of(
-                self.sim,
-                [gather.future, self.sim.sleep(self._config.fallback_timeout)],
+            answered = yield wait_for(
+                self.sim, gather.future, self._config.fallback_timeout
             )
-            if not gather.future.done:
+            if not answered:
                 self.lease_read_misses += 1
                 self._leases.pop(object_id, None)
                 return None
@@ -877,6 +876,7 @@ class ProxyNode(Node):
                 rotation=rotation_offset,
             )
             trace = span.context()
+        deadline: Optional[Timer] = None
         try:
             # Marshalling cost on the proxy CPU, proportional to fan-out.
             yield self._cpu.use(self._config.per_replica_cpu * quorum)
@@ -885,15 +885,14 @@ class ProxyNode(Node):
             payload, size = make_request(op_id)
             for replica in order[:quorum]:
                 self.send(replica, payload, size=size, trace=trace)
-            yield any_of(
-                self.sim,
-                [gather.future, self.sim.sleep(self._config.fallback_timeout)],
+            gathered = yield wait_for(
+                self.sim, gather.future, self._config.fallback_timeout
             )
-            if not gather.future.done and len(order) > quorum:
+            if not gathered:
                 for replica in order[quorum:]:
                     self.send(replica, payload, size=size, trace=trace)
-            yield any_of(self.sim, [gather.future, deadline])
-            if not gather.future.done:
+                gathered = yield wait_for(self.sim, gather.future, deadline)
+            if not gathered:
                 if span is not None:
                     span.finish(status="timeout")
                 return ("timeout", None)
@@ -909,6 +908,8 @@ class ProxyNode(Node):
                         obs.gather_p2.observe(elapsed)
             return outcome
         finally:
+            if deadline is not None:
+                deadline.cancel()
             del self._gathers[op_id]
 
     def _on_replica_reply(self, envelope: Envelope) -> None:

@@ -1,7 +1,7 @@
 """Discrete-event simulation substrate (kernel, network, nodes, failures)."""
 
 from repro.sim.failure import CrashManager, FailureDetector
-from repro.sim.kernel import Future, Interrupt, Process, Simulator
+from repro.sim.kernel import Future, Interrupt, Process, Simulator, Timer
 from repro.sim.nemesis import FaultEvent, Nemesis, links_between
 from repro.sim.network import Envelope, Mailbox, Network
 from repro.sim.node import Node
@@ -14,6 +14,7 @@ from repro.sim.primitives import (
     all_of,
     any_of,
     retry_until,
+    wait_for,
 )
 
 __all__ = [
@@ -34,8 +35,10 @@ __all__ = [
     "Process",
     "Resource",
     "Simulator",
+    "Timer",
     "all_of",
     "any_of",
     "links_between",
     "retry_until",
+    "wait_for",
 ]

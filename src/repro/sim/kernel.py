@@ -93,6 +93,30 @@ class Future:
             callback(self)
 
 
+class Timer(Future):
+    """The future :meth:`Simulator.sleep` returns: a deadline its owner
+    can give up on.
+
+    A wait that arms a timer and then completes for another reason must
+    :meth:`cancel` it — otherwise the timer's callback chain pins
+    whatever the finished wait produced until the delay runs out (see
+    :func:`repro.sim.primitives.wait_for`, which does this for you).
+    """
+
+    __slots__ = ("_handle",)
+
+    #: The live kernel's loop handle, set when it arms the timer; the
+    #: simulator never touches it.
+    _handle: Any
+
+    def cancel(self) -> None:
+        """Drop every waiter and disarm; a no-op once the timer fired."""
+        if self._done:
+            return
+        self._callbacks.clear()
+        self._sim._disarm(self)
+
+
 class Interrupt(Exception):
     """Thrown into a process that is interrupted while waiting."""
 
@@ -260,17 +284,31 @@ class Simulator:
     def future(self, name: str = "") -> Future:
         return Future(self, name=name)
 
-    def sleep(self, delay: float) -> Future:
-        """A future that resolves after ``delay`` simulated seconds."""
-        future = Future(self, name=f"sleep({delay})")
-        self.schedule(delay, future.resolve, None)
-        return future
+    def sleep(self, delay: float) -> Timer:
+        """A cancellable future resolving after ``delay`` simulated seconds."""
+        timer = Timer(self, name=f"sleep({delay})")
+        self._arm(timer, delay, None)
+        return timer
 
-    def timeout(self, delay: float, value: Any = None) -> Future:
+    def timeout(self, delay: float, value: Any = None) -> Timer:
         """Like :meth:`sleep` but resolving with ``value``."""
-        future = Future(self, name=f"timeout({delay})")
-        self.schedule(delay, future.resolve, value)
-        return future
+        timer = Timer(self, name=f"timeout({delay})")
+        self._arm(timer, delay, value)
+        return timer
+
+    def _arm(self, timer: Timer, delay: float, value: Any) -> None:
+        self.schedule(delay, timer.resolve, value)
+
+    def _disarm(self, timer: Timer) -> None:
+        """Kernel half of :meth:`Timer.cancel`.
+
+        The simulator leaves the heap entry in place: it still pops at
+        its instant and resolves a timer nobody listens to, so event
+        order, sequence numbers and :attr:`events_processed` are the
+        same whether or not a timer was cancelled — cancellation can
+        never perturb a seeded run.  The live kernel overrides this to
+        release the entry at once.
+        """
 
     # -- running ---------------------------------------------------------------
 

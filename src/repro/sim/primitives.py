@@ -9,10 +9,10 @@ and FIFO queueing resources that model CPUs and disks.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional, Union
 
 from repro.common.errors import SimulationError
-from repro.sim.kernel import Future, Simulator
+from repro.sim.kernel import Future, Simulator, Timer
 
 
 def all_of(sim: Simulator, futures: Iterable[Future]) -> Future:
@@ -63,6 +63,46 @@ def any_of(sim: Simulator, futures: Iterable[Future]) -> Future:
     for index, future in enumerate(futures):
         future.add_callback(lambda f, i=index: on_done(i, f))
     return combined
+
+
+def wait_for(
+    sim: Simulator, future: Future, timeout: Union[float, Timer]
+) -> Future:
+    """Wait for ``future``, but no longer than ``timeout``.
+
+    Resolves ``True`` as soon as ``future`` completes (failing with its
+    exception if it failed) and ``False`` if the timeout elapses first.
+    A ``timeout`` in seconds arms a timer this wait owns and cancels the
+    moment ``future`` wins, so nothing stays armed — and nothing the
+    finished wait produced stays referenced — past the work it bounded:
+    a wait with a timeout cancels its loser.  Pass a :class:`Timer`
+    instead to share one deadline between several waits; the caller
+    then owns it and cancels it when done.
+    """
+    if isinstance(timeout, Timer):
+        timer, owned = timeout, False
+    else:
+        timer, owned = sim.sleep(timeout), True
+    waited = sim.future(name="wait_for")
+
+    def on_future(completed: Future) -> None:
+        if waited.done:
+            return
+        if owned:
+            timer.cancel()
+        if completed.exception is not None:
+            waited.fail(completed.exception)
+        else:
+            waited.resolve(True)
+
+    def on_timeout(_timer: Future) -> None:
+        if not waited.done:
+            waited.resolve(False)
+
+    future.add_callback(on_future)
+    if not waited.done:
+        timer.add_callback(on_timeout)
+    return waited
 
 
 class Gate:

@@ -1,0 +1,56 @@
+"""Cancelling a timer must never perturb a seeded simulation.
+
+``wait_for`` cancels the losing timer of every gather, lease read,
+client attempt and NEWEP retransmit wait.  Under the live kernel that
+frees the loop's heap entry; under the simulator it must change
+*nothing* — the entry still pops at its instant and resolves a timer
+nobody listens to.  The figures below were recorded on the commit
+before cancellable timers existed (``any_of([f, sim.sleep(t)])`` at all
+five sites), on a schedule that takes every timeout branch: attempt
+timeouts, gather deadlines, lease-read fallbacks and NEWEP retransmits.
+A drift in any of them means cancellation leaked into event order.
+
+Wall time: ~1.5 s.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+from tests.chaos.conftest import build_chaos_stack
+
+EVENTS_PROCESSED = 95147
+HISTORY_RECORDS = 3326
+SIGNATURE = "d5b2741d74bc115f69cd4955e0d5c94ffb37f7d241edabc106ac3852a1f7bc0b"
+
+
+def test_seeded_run_is_byte_identical_to_pre_cancellation_parent() -> None:
+    cluster, system, checker, nemesis = build_chaos_stack(
+        142, write_ratio=0.2, lease_duration=1.5
+    )
+    storage = [node.node_id for node in cluster.storage_nodes]
+    nemesis.schedule_isolation(1.0, 2.0, storage[:2])
+    cluster.run(5.0)
+
+    # The schedule really did walk the timeout branches.
+    assert sum(c.attempt_timeouts for c in cluster.clients) == 2
+    assert sum(p.gather_timeouts for p in cluster.proxies) == 13
+    assert sum(p.lease_read_misses for p in cluster.proxies) == 403
+    assert system.reconfiguration_manager.retransmissions == 2
+
+    digest = hashlib.sha256()
+    digest.update(repr(cluster.events.signature()).encode())
+    digest.update(
+        repr(
+            [
+                (
+                    r.client, r.object_id, r.op_type, r.invoked_at,
+                    r.completed_at, r.value, r.stamp,
+                )
+                for r in checker.records
+            ]
+        ).encode()
+    )
+    assert cluster.sim.events_processed == EVENTS_PROCESSED
+    assert len(checker.records) == HISTORY_RECORDS
+    assert digest.hexdigest() == SIGNATURE

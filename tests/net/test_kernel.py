@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import asyncio
+import gc
+import weakref
 
 import pytest
 
 from repro.common.errors import SimulationError
 from repro.net.kernel import RealtimeKernel
+from repro.sim.primitives import wait_for
 
 
 def test_sim_only_entry_points_are_blocked() -> None:
@@ -104,5 +107,76 @@ def test_crash_list_is_bounded() -> None:
             kernel.spawn(doomed(), name=f"doomed-{index}")
         await asyncio.sleep(0.2)
         assert len(kernel.crashes) <= 64
+
+    asyncio.run(scenario())
+
+
+class _Payload:
+    """Weak-referenceable stand-in for a gather's reply set."""
+
+
+def test_wait_for_cancels_the_losing_timer() -> None:
+    """1 000 waits that beat a 60 s timeout leave nothing armed.
+
+    The retention law this guards against: an uncancelled loser keeps
+    its heap entry and, through its callback chain, the finished wait's
+    value for the whole timeout — ``rate x deadline`` of garbage.
+    """
+
+    async def scenario() -> None:
+        kernel = RealtimeKernel()
+        last: list[weakref.ref] = []
+
+        def worker():
+            for _ in range(1000):
+                reply = kernel.future("reply")
+                payload = _Payload()
+                last[:] = [weakref.ref(payload)]
+                kernel.post(reply.resolve, payload)
+                del payload
+                assert (yield wait_for(kernel, reply, 60.0)) is True
+                assert kernel.timers_pending == 0
+            return kernel.timers_armed
+
+        armed = await asyncio.wait_for(
+            kernel.run_process_async(worker(), name="worker"), 30.0
+        )
+        assert armed == 1000
+        assert kernel.timers_cancelled == 1000
+        assert kernel.timers_fired == 0
+        # No sleep: the value is unreachable the moment the wait returns,
+        # not when the 60 s timer would have fired.
+        gc.collect()
+        assert last[0]() is None
+
+    asyncio.run(scenario())
+
+
+def test_wait_for_times_out_and_shares_a_deadline() -> None:
+    async def scenario() -> None:
+        kernel = RealtimeKernel()
+
+        def worker():
+            never = kernel.future("never")
+            assert (yield wait_for(kernel, never, 0.01)) is False
+            deadline = kernel.sleep(0.02)
+            # A shared deadline is the caller's to cancel, not the wait's.
+            ready = kernel.future("ready")
+            ready.resolve("x")
+            assert (yield wait_for(kernel, ready, deadline)) is True
+            assert kernel.timers_pending == 1
+            assert (yield wait_for(kernel, never, deadline)) is False
+            late = kernel.sleep(60.0)
+            late.cancel()
+            late.cancel()  # idempotent
+            return kernel.timers_pending
+
+        pending = await asyncio.wait_for(
+            kernel.run_process_async(worker(), name="worker"), 5.0
+        )
+        assert pending == 0
+        assert kernel.timers_armed == 3
+        assert kernel.timers_fired == 2
+        assert kernel.timers_cancelled == 1
 
     asyncio.run(scenario())

@@ -19,6 +19,7 @@ from repro.net.httpd import http_get
 from repro.net.loadgen import LoadGenerator
 from repro.net.runtime import NodeRuntime
 from repro.net.spec import build_spec
+from repro.obs.exporters import parse_prometheus_text
 from repro.sds.storage import StorageNode
 
 pytestmark = pytest.mark.slow
@@ -68,6 +69,23 @@ def test_live_cluster_reconfigures_and_stays_linearizable() -> None:
             assert status == 200
             assert "qopt_transport_messages_total" in body
             assert "qopt_kernel_events_total" in body
+
+            # Every gather armed two timers and cancelled both; with the
+            # load stopped nothing gather-shaped is left armed.
+            proxy = spec.proxies[0]
+            status, body = await http_get(
+                proxy.host, proxy.http_port, "/metrics"
+            )
+            assert status == 200
+            timers = {
+                series.partition("{")[0]: value
+                for series, value in parse_prometheus_text(body).items()
+                if series.startswith("qopt_kernel_timers_")
+            }
+            gathers = first.operations + second.operations
+            assert timers["qopt_kernel_timers_armed_total"] >= 2 * gathers
+            assert timers["qopt_kernel_timers_cancelled_total"] >= 2 * gathers
+            assert timers["qopt_kernel_timers_pending"] <= 4
         finally:
             await generator.stop()
             for runtime in runtimes:

@@ -1,4 +1,4 @@
-"""QC001-QC003: interleaving bugs across coroutine suspension points."""
+"""QC001-QC005: interleaving bugs across coroutine suspension points."""
 
 from __future__ import annotations
 
@@ -332,6 +332,76 @@ class TestStaleLeaseCapture:
                     await self._disk.use(message.size)
                     holder = message.sender
                     self.reply(message.sender, holder)
+            """
+        )
+        assert findings == []
+
+
+class TestUncancelledDeadline:
+    """QC005 — a timer armed inside ``any_of([...])`` outlives the wait
+    it bounded; ``wait_for`` owns its timer and cancels the loser."""
+
+    def test_sleep_inside_any_of_flagged(self, lint):
+        findings = lint(
+            """
+            class Proxy:
+                def gather(self, future):
+                    yield any_of(
+                        self.sim, [future, self.sim.sleep(self._deadline)]
+                    )
+                    return future.done
+            """
+        )
+        assert rules_of(findings) == ["QC005"]
+        assert "wait_for" in findings[0].message
+
+    def test_timeout_inside_any_of_flagged(self, lint):
+        findings = lint(
+            """
+            class Manager:
+                def await_quorum(self, done):
+                    while not done.done:
+                        yield primitives.any_of(
+                            self.sim, (done, self.sim.timeout(0.5, "late"))
+                        )
+            """
+        )
+        assert rules_of(findings) == ["QC005"]
+
+    def test_wait_for_is_clean(self, lint):
+        findings = lint(
+            """
+            class Proxy:
+                def gather(self, future):
+                    answered = yield wait_for(
+                        self.sim, future, self._deadline
+                    )
+                    return answered
+            """
+        )
+        assert findings == []
+
+    def test_any_of_over_plain_futures_is_clean(self, lint):
+        # Racing two protocol events arms no timer; a deadline held in a
+        # local is the shared-deadline idiom, whose owner cancels it.
+        findings = lint(
+            """
+            class Proxy:
+                def race(self, first, second):
+                    deadline = self.sim.sleep(2.0)
+                    try:
+                        yield any_of(self.sim, [first, second, deadline])
+                    finally:
+                        deadline.cancel()
+            """
+        )
+        assert findings == []
+
+    def test_plain_helper_outside_coroutines_not_in_scope(self, lint):
+        findings = lint(
+            """
+            def build(sim, future):
+                return any_of(sim, [future, sim.sleep(1.0)])
             """
         )
         assert findings == []

@@ -12,6 +12,9 @@ generator itself so the two timeout tiers are pinned down:
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.common.errors import GatherTimeoutError
@@ -89,6 +92,26 @@ class TestFallbackTimeout:
         assert status == "ok"
         assert result["elapsed"] < tiny_cluster.config.proxy.fallback_timeout
         assert {reply.replica for reply in replies} <= set(order[:3])
+
+    def test_completed_gather_releases_its_replies(self, tiny_cluster):
+        """A finished gather's replies die with it, not 2 s later.
+
+        Both gather timers are still on the simulator's heap (it never
+        removes entries, to keep event order fixed), but cancelled
+        timers have dropped their callbacks, so nothing reaches the
+        reply set once the caller lets go — with simulated time
+        standing still.
+        """
+        proxy = tiny_cluster.proxies[0]
+        result = run_gather(tiny_cluster, proxy, "obj-happy", quorum=3)
+        finished_at = tiny_cluster.sim.now
+        _status, replies = result.pop("outcome")
+        reply = weakref.ref(replies[0])
+        del replies
+        gc.collect()
+        assert tiny_cluster.sim.now == finished_at
+        assert tiny_cluster.sim._queue  # the dead timers are still queued
+        assert reply() is None
 
 
 class TestGatherDeadline:

@@ -15,6 +15,7 @@ from repro.sim.primitives import (
     all_of,
     any_of,
     retry_until,
+    wait_for,
 )
 
 
@@ -60,6 +61,66 @@ class TestAnyOf:
     def test_empty_input_rejected(self, sim):
         with pytest.raises(SimulationError):
             any_of(sim, [])
+
+
+class TestWaitFor:
+    def test_future_wins(self, sim):
+        def body():
+            won = yield wait_for(sim, sim.timeout(0.2, "reply"), 1.0)
+            return won, sim.now
+
+        won, now = sim.run_process(body())
+        assert won is True
+        assert now == pytest.approx(0.2)
+
+    def test_timeout_wins(self, sim):
+        never = sim.future()
+
+        def body():
+            won = yield wait_for(sim, never, 0.5)
+            return won, sim.now
+
+        won, now = sim.run_process(body())
+        assert won is False
+        assert now == pytest.approx(0.5)
+        assert not never.done
+
+    def test_failure_propagates(self, sim):
+        bad = sim.future()
+        sim.schedule(0.1, bad.fail, ValueError("x"))
+
+        def body():
+            try:
+                yield wait_for(sim, bad, 1.0)
+            except ValueError:
+                return "caught"
+            return "missed"
+
+        assert sim.run_process(body()) == "caught"
+
+    def test_cancelled_timer_still_pops_in_the_simulator(self, sim):
+        """Cancellation drops the waiters, never the heap entry: the
+        event count of a seeded run cannot depend on who won."""
+        woken = []
+        timer = sim.sleep(1.0)
+        timer.add_callback(woken.append)
+        timer.cancel()
+        before = sim.events_processed
+        sim.run()
+        assert sim.events_processed == before + 1
+        assert sim.now == pytest.approx(1.0)
+        assert woken == []
+
+    def test_shared_deadline_is_left_to_its_owner(self, sim):
+        def body():
+            deadline = sim.sleep(1.0)
+            first = yield wait_for(sim, sim.timeout(0.1), deadline)
+            second = yield wait_for(sim, sim.future(), deadline)
+            return first, second, sim.now
+
+        first, second, now = sim.run_process(body())
+        assert (first, second) == (True, False)
+        assert now == pytest.approx(1.0)
 
 
 class TestGate:
