@@ -73,10 +73,11 @@ async def run() -> None:
                 f"write p99 {second.latencies['write'].get('p99', 0):.4f}s"
             )
 
-            violations, linearizable = generator.check_history()
+            result = generator.result()
             print(
-                f"\nhistory of {len(generator.records)} operations: "
-                f"{violations} violations, linearizable={linearizable}"
+                f"\nhistory of {result.history_records} operations: "
+                f"{result.consistency_violations} violations, "
+                f"linearizable={result.linearizable}"
             )
 
             manager = cluster.spec.manager

@@ -16,9 +16,13 @@ over real TCP sockets and wall-clock time:
   dataclass in :mod:`repro.sds.messages`;
 * :mod:`repro.net.tcp` — length-prefixed framing, reconnect-with-backoff
   and return-route learning over asyncio streams;
-* :mod:`repro.net.runtime` / :mod:`repro.net.cluster` /
-  :mod:`repro.net.loadgen` — the ``python -m repro serve | cluster |
-  loadgen`` process runners and the live benchmark.
+* :mod:`repro.net.runtime` / :mod:`repro.net.cluster` — the
+  ``python -m repro serve | cluster`` process runners;
+* :mod:`repro.net.loadgen` — the load generator, the one live-run
+  report and the boot/teardown scaffold behind ``loadgen``,
+  ``livesmoke`` (:mod:`repro.net.smoke`), ``livechaos``
+  (:mod:`repro.net.chaos`) and ``loadgen --shards``
+  (:mod:`repro.net.scaleout`).
 
 Import note: this ``__init__`` stays lightweight (protocol-side modules
 import :mod:`repro.net.transport`; eagerly importing the TCP stack here

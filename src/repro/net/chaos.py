@@ -19,39 +19,48 @@
    completed at least one quarantined rejoin, i.e. it re-entered read
    quorums only after the I6 epoch sync.
 
-Client operations MAY fail while a replica is down (a W=4 write during
-downtime can exhaust its deadline) — that is the fault model working,
-not a bug, so transient failures do not gate the run.  What gates it:
-lost acknowledged writes, consistency violations, an unverified or
-non-linearizable history, replicas that never recovered, failures during
-the quiescent read-back, and unclean worker exits.
+What gates it: everything the run report gates on except failed
+load-phase operations (see :meth:`ChaosReport.tolerates_failures`),
+plus lost acknowledged writes, kill cycles that did not run or never
+recovered, and restarted replicas without a completed recovery.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import math
 import os
 import random
 import tempfile
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.common.types import ObjectId, OpType
 from repro.net.cluster import LocalCluster
-from repro.net.loadgen import LoadGenerator, LoadgenResult
+from repro.net.loadgen import (
+    HarnessChecks,
+    LoadGenerator,
+    LoadgenResult,
+    PhaseResult,
+    Samples,
+    metric_value,
+    run_live,
+)
 from repro.net.nemesis import (
-    KillCycle,
     LiveNemesis,
     NemesisCycleResult,
     RestartPolicy,
     build_schedule,
 )
-from repro.net.smoke import _scrape_all
 from repro.net.spec import build_spec
 from repro.sds.client import OperationRecord
 from repro.workloads.base import Operation
+
+#: Name of the quiescent read-back phase.
+READBACK = "readback"
+
+#: The gauge a restarted replica bumps when its I6 rejoin completes.
+RECOVERIES = "qopt_replica_recoveries_total"
 
 
 @dataclass
@@ -132,36 +141,63 @@ def count_lost_acked_writes(
     return lost, details
 
 
-def _metric_value(scrape: str, family: str) -> Optional[float]:
-    """Last sample of a family in a Prometheus text scrape, if present."""
-    value: Optional[float] = None
-    for line in scrape.splitlines():
-        if line.startswith(family) and not line.startswith("#"):
-            try:
-                value = float(line.rsplit(None, 1)[1])
-            except (IndexError, ValueError):
-                continue
-    return value
+def replica_recoveries(
+    scrapes: Dict[str, Samples], restarted: Iterable[str]
+) -> Dict[str, Optional[float]]:
+    """Each restarted replica's :data:`RECOVERIES` gauge, read from the
+    series labelled with its own node name (``None`` when absent)."""
+    return {
+        name: metric_value(scrapes.get(name, {}), RECOVERIES, f'node="{name}"')
+        for name in sorted(restarted)
+    }
 
 
 @dataclass
-class ChaosReport:
-    """Everything the chaos run measured and verified."""
+class ChaosReport(HarnessChecks):
+    """What the chaos run adds: durability, kill cycles and recoveries."""
 
-    result: LoadgenResult
+    title = "live-chaos"
+
+    cycles_planned: int
     cycles: List[NemesisCycleResult]
-    schedule: List[KillCycle]
-    reconfig_seconds: Optional[float]
+    nemesis_problems: List[str]
     lost_acked_writes: int
     lost_details: List[str]
     transport_resets: int
-    exit_codes: Dict[str, int]
-    recoveries: Dict[str, float] = field(default_factory=dict)
-    problems: List[str] = field(default_factory=list)
+    #: Restart count per restarted replica.
+    restarted: Dict[str, int]
+    #: :func:`replica_recoveries` of the restarted replicas.
+    recoveries: Dict[str, Optional[float]]
 
-    @property
-    def ok(self) -> bool:
-        return not self.problems
+    def tolerates_failures(self, phase: PhaseResult) -> bool:
+        """Client operations MAY fail while a replica is down (a W=4
+        write during downtime can exhaust its deadline) — that is the
+        fault model working, not a bug, so failures in the load phases
+        do not gate the run.  The read-back runs with every replica
+        alive: any failure there does."""
+        return phase.name != READBACK
+
+    def verdicts(self, result: LoadgenResult) -> List[str]:
+        del result
+        problems: List[str] = []
+        if self.lost_acked_writes:
+            problems.append(
+                f"{self.lost_acked_writes} acknowledged writes lost"
+            )
+        problems.extend(self.nemesis_problems)
+        if len(self.cycles) < self.cycles_planned:
+            problems.append(
+                f"only {len(self.cycles)} of {self.cycles_planned} kill "
+                "cycles ran"
+            )
+        for name, value in self.recoveries.items():
+            if value is None or value < 1.0:
+                problems.append(
+                    f"{name}: restarted {self.restarted[name]}x but "
+                    f"{RECOVERIES} < 1 — rejoined read quorums without "
+                    "completing the I6 epoch sync"
+                )
+        return problems
 
     def recovery_stats(self) -> dict:
         observed = [
@@ -183,53 +219,35 @@ class ChaosReport:
             ),
         }
 
-    def ops_dip_ratio(self) -> Optional[float]:
+    @staticmethod
+    def ops_dip_ratio(result: LoadgenResult) -> Optional[float]:
         """min/max ops/sec across the chaos load phases (1.0 = no dip)."""
         rates = [
             phase.ops_per_sec
-            for phase in self.result.phases
-            if phase.name != "readback" and phase.ops_per_sec > 0
+            for phase in result.phases
+            if phase.name != READBACK and phase.ops_per_sec > 0
         ]
         if len(rates) < 2:
             return None
         return round(min(rates) / max(rates), 3)
 
-    def as_dict(self) -> dict:
-        payload = self.result.as_dict()
-        # The chaos gate has its own verdict: transient client failures
-        # during downtime are tolerated, so override loadgen's ok/problems
-        # with ours instead of presenting two conflicting verdicts.
-        payload.update(
-            {
-                "kill_cycles": [cycle.as_dict() for cycle in self.cycles],
-                "recovery": self.recovery_stats(),
-                "recoveries_metric": {
-                    name: value
-                    for name, value in sorted(self.recoveries.items())
-                },
-                "lost_acked_writes": self.lost_acked_writes,
-                "lost_details": self.lost_details,
-                "transport_resets": self.transport_resets,
-                "ops_dip_ratio": self.ops_dip_ratio(),
-                "reconfig_seconds": (
-                    None
-                    if self.reconfig_seconds is None
-                    else round(self.reconfig_seconds, 3)
-                ),
-                "ok": self.ok,
-                "problems": self.problems,
-            }
-        )
-        return payload
+    def json_fields(self, result: LoadgenResult) -> Dict[str, object]:
+        return {
+            "kill_cycles": [cycle.as_dict() for cycle in self.cycles],
+            "recovery": self.recovery_stats(),
+            "recoveries_metric": {
+                name: value
+                for name, value in self.recoveries.items()
+                if value is not None
+            },
+            "lost_acked_writes": self.lost_acked_writes,
+            "lost_details": self.lost_details,
+            "transport_resets": self.transport_resets,
+            "ops_dip_ratio": self.ops_dip_ratio(result),
+        }
 
-    def render(self) -> str:
-        lines = ["live-chaos:"]
-        for phase in self.result.phases:
-            lines.append(
-                f"  phase {phase.name}: {phase.operations} ops "
-                f"({phase.ops_per_sec:.0f}/s), {phase.failed} failed, "
-                f"{phase.retries} retries"
-            )
+    def render_lines(self, result: LoadgenResult) -> List[str]:
+        lines = []
         for cycle in self.cycles:
             recovery = (
                 f"recovered in {cycle.recovery_seconds:.2f}s"
@@ -237,28 +255,16 @@ class ChaosReport:
                 else "NEVER RECOVERED"
             )
             lines.append(
-                f"  kill {cycle.victim}: {cycle.restart_attempts} restart "
+                f"kill {cycle.victim}: {cycle.restart_attempts} restart "
                 f"attempt(s), {recovery}"
                 + (" (quarantine observed)" if cycle.quarantine_observed
                    else "")
             )
-        lines.append(
-            f"  history: {self.result.history_records} records, "
-            f"{self.result.consistency_violations} violations, "
-            f"linearizable={self.result.linearizable}"
-        )
-        lines.append(
-            f"  lost acknowledged writes: {self.lost_acked_writes}"
-        )
-        dip = self.ops_dip_ratio()
+        lines.append(f"lost acknowledged writes: {self.lost_acked_writes}")
+        dip = self.ops_dip_ratio(result)
         if dip is not None:
-            lines.append(f"  ops/s dip ratio (min/max): {dip}")
-        if self.problems:
-            lines.append("  PROBLEMS:")
-            lines.extend(f"    - {problem}" for problem in self.problems)
-        else:
-            lines.append("  all checks passed")
-        return "\n".join(lines)
+            lines.append(f"ops/s dip ratio (min/max): {dip}")
+        return lines
 
 
 async def _reset_links_midphase(
@@ -289,8 +295,68 @@ async def run_chaos(
     seed: int = 1,
     pipeline_depth: int = 4,
     workdir: Optional[str] = None,
-) -> ChaosReport:
+) -> LoadgenResult:
     """Run the full kill/recover sequence; never leaves processes behind."""
+
+    async def drive(
+        generator: LoadGenerator, cluster: LocalCluster
+    ) -> ChaosReport:
+        schedule = build_schedule(cluster.spec, seed=seed, cycles=cycles)
+        # Front-load the churn: ceil(cycles/2) under W=4, the rest under
+        # W=2, so both quorum geometries see kills.
+        split = cycles - cycles // 2
+        nemesis = LiveNemesis(cluster, [], policy=RestartPolicy())
+        transport_resets = 0
+        for position, (write_quorum, batch) in enumerate(
+            [(4, schedule[:split]), (2, schedule[split:])]
+        ):
+            if position > 0:
+                await generator.reconfigure(write_quorum)
+            nemesis.schedule = list(batch)
+            nemesis_task = asyncio.ensure_future(nemesis.run())
+            reset_task = asyncio.ensure_future(
+                _reset_links_midphase(generator, after=duration / 2)
+            )
+            try:
+                await generator.run_phase(
+                    name=f"W={write_quorum}",
+                    duration=duration,
+                    write_quorum=write_quorum,
+                )
+            finally:
+                # Let any cycle still mid-kill finish its restart in
+                # quiescence before reconfiguring or reading back.
+                await nemesis_task
+                transport_resets += await reset_task
+        # Quiescent read-back sweep: every object, read-only, all
+        # replicas alive (the durability verdict needs a full pass).
+        before = len(generator.records)
+        await generator.run_phase(
+            name=READBACK,
+            duration=max(2.0, objects / 25.0),
+            write_quorum=2,
+            source=_ReadbackSource(objects=generator.workload.object_ids()),
+        )
+        lost, lost_details = count_lost_acked_writes(
+            generator.records, generator.records[before:]
+        )
+        restarted = {
+            worker.name: worker.restarts
+            for worker in cluster.restarted_workers()
+        }
+        return ChaosReport(
+            cycles_planned=cycles,
+            cycles=list(nemesis.cycles),
+            nemesis_problems=list(nemesis.problems),
+            lost_acked_writes=lost,
+            lost_details=lost_details,
+            transport_resets=transport_resets,
+            restarted=restarted,
+            recoveries=replica_recoveries(
+                await generator.scrape(), restarted
+            ),
+        )
+
     workdir = workdir or tempfile.mkdtemp(prefix="qopt-chaos-")
     spec = build_spec(
         replicas=replicas,
@@ -299,147 +365,21 @@ async def run_chaos(
         seed=seed,
         data_dir=os.path.join(workdir, "data"),
     )
-    cluster = LocalCluster(spec, workdir=workdir)
-    schedule = build_schedule(cluster.spec, seed=seed, cycles=cycles)
-    # Front-load the churn: ceil(cycles/2) under W=4, the rest under W=2,
-    # so both quorum geometries see kills.
-    split = cycles - cycles // 2
-    policy = RestartPolicy()
-    problems: List[str] = []
-    transport_resets = 0
-    nemesis = LiveNemesis(cluster, [], policy=policy)
-    try:
-        cluster.start()
-        await cluster.wait_healthy()
-        generator = LoadGenerator(
-            cluster.spec,
-            clients=clients,
-            workload=workload,
-            objects=objects,
-            seed=seed,
-            pipeline_depth=pipeline_depth,
-        )
-        await generator.start()
-        try:
-            reconfig_seconds: Optional[float] = None
-            for position, (write_quorum, batch) in enumerate(
-                [(4, schedule[:split]), (2, schedule[split:])]
-            ):
-                if position > 0:
-                    reconfig_seconds = await generator.reconfigure(
-                        write_quorum
-                    )
-                nemesis.schedule = list(batch)
-                nemesis_task = asyncio.ensure_future(nemesis.run())
-                reset_task = asyncio.ensure_future(
-                    _reset_links_midphase(generator, after=duration / 2)
-                )
-                try:
-                    await generator.run_phase(
-                        name=f"W={write_quorum}",
-                        duration=duration,
-                        write_quorum=write_quorum,
-                    )
-                finally:
-                    # Let any cycle still mid-kill finish its restart in
-                    # quiescence before reconfiguring or reading back.
-                    await nemesis_task
-                    transport_resets += await reset_task
-            # Quiescent read-back sweep: every object, read-only, all
-            # replicas alive (the durability verdict needs a full pass).
-            before = len(generator.records)
-            sweep = _ReadbackSource(objects=generator.workload.object_ids())
-            readback_phase = await generator.run_phase(
-                name="readback",
-                duration=max(2.0, objects / 25.0),
-                write_quorum=2,
-                source=sweep,
-            )
-            readback = generator.records[before:]
-            scrapes = await _scrape_all(cluster.spec)
-            result = generator.result(reconfig_seconds)
-        finally:
-            await generator.stop()
-        dead = [worker.name for worker in cluster.dead_workers()]
-        restarted = {
-            worker.name: worker.restarts
-            for worker in cluster.restarted_workers()
-        }
-        exit_codes = await cluster.shutdown()
-    finally:
-        cluster.kill()
-
-    # -- verdicts ------------------------------------------------------------
-    lost, lost_details = count_lost_acked_writes(result.records, readback)
-    if lost:
-        problems.append(f"{lost} acknowledged writes lost")
-    problems.extend(nemesis.problems)
-    if len(nemesis.cycles) < cycles:
-        problems.append(
-            f"only {len(nemesis.cycles)} of {cycles} kill cycles ran"
-        )
-    if result.consistency_violations:
-        problems.append(
-            f"{result.consistency_violations} consistency violations"
-        )
-    if result.linearizable is None:
-        problems.append(
-            "linearizability unverified: search budget exceeded"
-        )
-    elif not result.linearizable:
-        problems.append("history is not linearizable")
-    for phase in result.phases:
-        if phase.operations == 0:
-            problems.append(f"phase {phase.name} completed zero operations")
-    if readback_phase.failed:
-        problems.append(
-            f"{readback_phase.failed} read-back operations failed with "
-            "every replica alive"
-        )
-    recoveries: Dict[str, float] = {}
-    for name in sorted(restarted):
-        value = _metric_value(
-            scrapes.get(name, ""), "qopt_replica_recoveries_total"
-        )
-        if value is not None:
-            recoveries[name] = value
-        if value is None or value < 1.0:
-            problems.append(
-                f"{name}: restarted {restarted[name]}x but "
-                "qopt_replica_recoveries_total < 1 — rejoined read "
-                "quorums without completing the I6 epoch sync"
-            )
-    if dead:
-        problems.append(f"workers dead at end of run: {dead}")
-    for name, code in exit_codes.items():
-        if code != 0:
-            problems.append(f"{name} exited with code {code}")
-
-    return ChaosReport(
-        result=result,
-        cycles=list(nemesis.cycles),
-        schedule=schedule,
-        reconfig_seconds=result.reconfig_seconds,
-        lost_acked_writes=lost,
-        lost_details=lost_details,
-        transport_resets=transport_resets,
-        exit_codes=exit_codes,
-        recoveries=recoveries,
-        problems=problems,
+    return await run_live(
+        spec,
+        drive,
+        workdir=workdir,
+        clients=clients,
+        workload=workload,
+        objects=objects,
+        seed=seed,
+        pipeline_depth=pipeline_depth,
     )
-
-
-def write_chaos_report(report: ChaosReport, path: str, extra: dict) -> None:
-    """Write ``BENCH_net_chaos.json``."""
-    payload = dict(extra)
-    payload.update(report.as_dict())
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 __all__ = [
     "ChaosReport",
     "count_lost_acked_writes",
+    "replica_recoveries",
     "run_chaos",
-    "write_chaos_report",
 ]

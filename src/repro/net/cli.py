@@ -16,9 +16,12 @@ from __future__ import annotations
 import argparse
 import asyncio
 import signal
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.net.spec import ClusterSpec, build_spec
+
+if TYPE_CHECKING:
+    from repro.net.loadgen import LoadgenResult
 
 
 def _spec_arguments(parser: argparse.ArgumentParser) -> None:
@@ -147,6 +150,35 @@ def cmd_cluster(argv: Sequence[str]) -> int:
     return asyncio.run(_run())
 
 
+def _finish(
+    result: LoadgenResult,
+    output: Optional[str] = None,
+    extra: Optional[dict] = None,
+    baseline: Optional[str] = None,
+) -> int:
+    """Write, print and gate one run report.
+
+    The exit code mirrors the report's ``ok`` field (plus the baseline
+    gate), so CI cannot pass a run whose JSON says it failed — or whose
+    linearizability check never finished.
+    """
+    from repro.net.loadgen import check_baseline, write_report
+
+    if output:
+        write_report(result, output, extra=extra or {})
+    print(result.render())
+    if output:
+        print(f"report written to {output}")
+    failures: List[str] = []
+    if baseline:
+        failures = check_baseline(result, baseline)
+        for failure in failures:
+            print(f"BASELINE REGRESSION: {failure}")
+        if not failures:
+            print(f"baseline gate passed ({baseline})")
+    return 1 if result.problems() or failures else 0
+
+
 def cmd_loadgen(argv: Sequence[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro loadgen",
@@ -196,188 +228,39 @@ def cmd_loadgen(argv: Sequence[str]) -> int:
             "below 70%% of its baseline ops/sec"
         ),
     )
-    parser.add_argument(
-        "--lease-compare", action="store_true",
-        help=(
-            "A/B the per-object lease fast path: one phase with lease "
-            "reads off, one with them on, same W (cluster must have "
-            "been booted with --lease-duration > 0)"
-        ),
-    )
-    parser.add_argument(
-        "--min-speedup", type=float, default=0.0,
-        help=(
-            "with --lease-compare: fail unless leased ops/sec reaches "
-            "this multiple of the quorum phase (0 = report only)"
-        ),
-    )
     args = parser.parse_args(list(argv))
-    if args.shards >= 2:
-        return _run_scaleout_command(args)
-    if args.spec is None:
-        parser.error("--spec is required (or use --shards N)")
-    spec = ClusterSpec.load(args.spec)
-    phases: List[int] = args.phases or [4, 2]
-    output = args.output or "BENCH_net.json"
-
-    from repro.net.loadgen import (
-        check_baseline,
-        lease_speedup,
-        run_bench,
-        run_lease_bench,
-        write_report,
-    )
-
-    extra = {
-        "workload": args.workload,
+    load: Dict[str, Any] = {
+        "duration": args.duration,
         "clients": args.clients,
+        "workload": args.workload,
         "object_size": args.object_size,
         "objects": args.objects,
         "seed": args.seed,
         "pipeline_depth": args.depth,
         "injection_rate": args.rate,
     }
-    lease_problems: List[str] = []
-    if args.lease_compare:
-        result, counters = asyncio.run(
-            run_lease_bench(
-                spec,
-                duration=args.duration,
-                clients=args.clients,
-                workload=args.workload,
-                object_size=args.object_size,
-                objects=args.objects,
-                seed=args.seed,
-                pipeline_depth=args.depth,
-                injection_rate=args.rate,
-            )
+    if args.shards >= 2:
+        from repro.net.scaleout import run_scaleout
+
+        result = asyncio.run(
+            run_scaleout(shards=args.shards, replicas=args.replicas, **load)
         )
-        speedup = lease_speedup(result)
-        extra["lease_compare"] = True
-        extra["lease_counters"] = {
-            name: round(value, 1)
-            for name, value in sorted(counters.items())
-        }
-        extra["lease_speedup"] = (
-            None if speedup is None else round(speedup, 3)
-        )
-        if args.min_speedup > 0 and (
-            speedup is None or speedup < args.min_speedup
-        ):
-            lease_problems.append(
-                f"lease speedup {speedup or 0.0:.2f}x is below the "
-                f"required {args.min_speedup:.2f}x"
-            )
+        output = args.output or "BENCH_net_scaleout.json"
     else:
+        if args.spec is None:
+            parser.error("--spec is required (or use --shards N)")
+        from repro.net.loadgen import run_bench
+
         result = asyncio.run(
             run_bench(
-                spec,
-                phases=phases,
-                duration=args.duration,
-                clients=args.clients,
-                workload=args.workload,
-                object_size=args.object_size,
-                objects=args.objects,
-                seed=args.seed,
-                pipeline_depth=args.depth,
-                injection_rate=args.rate,
+                ClusterSpec.load(args.spec),
+                phases=args.phases or [4, 2],
+                **load,
             )
         )
-    write_report(result, output, extra=extra)
-    for phase in result.phases:
-        reads, writes = phase.latencies["read"], phase.latencies["write"]
-        print(
-            f"{phase.name}: {phase.operations} ops "
-            f"({phase.ops_per_sec:.0f}/s), "
-            f"read p50 {reads.get('p50', 0.0):.4f}s "
-            f"p99 {reads.get('p99', 0.0):.4f}s, "
-            f"write p50 {writes.get('p50', 0.0):.4f}s "
-            f"p99 {writes.get('p99', 0.0):.4f}s, "
-            f"{phase.failed} failed"
-        )
-    if args.lease_compare:
-        speedup_text = (
-            "n/a" if extra["lease_speedup"] is None
-            else f"{extra['lease_speedup']:.2f}x"
-        )
-        hits = extra["lease_counters"].get(
-            "qopt_lease_read_hits_total", 0.0
-        )
-        misses = extra["lease_counters"].get(
-            "qopt_lease_read_misses_total", 0.0
-        )
-        print(
-            f"lease speedup: {speedup_text} "
-            f"(fast-path hits {hits:.0f}, misses {misses:.0f})"
-        )
-    print(
-        f"history: {result.history_records} records, "
-        f"{result.consistency_violations} violations, "
-        f"linearizable={result.linearizable}"
-    )
-    print(f"report written to {output}")
-    failures: List[str] = []
-    if args.baseline:
-        failures = check_baseline(result, args.baseline)
-        for failure in failures:
-            print(f"BASELINE REGRESSION: {failure}")
-        if not failures:
-            print(f"baseline gate passed ({args.baseline})")
-    # The exit code mirrors the report's ok field exactly, so CI cannot
-    # pass a run whose JSON says it failed (or whose linearizability
-    # check never finished).
-    problems = result.problems() + failures + lease_problems
-    for problem in problems:
-        print(f"FAIL: {problem}")
-    return 1 if problems else 0
-
-
-def _run_scaleout_command(args: argparse.Namespace) -> int:
-    """``loadgen --shards N``: the self-contained scale-out benchmark."""
-    from repro.net.loadgen import check_baseline
-    from repro.net.scaleout import run_scaleout, write_scaleout_report
-
-    report = asyncio.run(
-        run_scaleout(
-            shards=args.shards,
-            replicas=args.replicas,
-            duration=args.duration,
-            clients=args.clients,
-            workload=args.workload,
-            object_size=args.object_size,
-            objects=args.objects,
-            seed=args.seed,
-            pipeline_depth=args.depth,
-            injection_rate=args.rate,
-        )
-    )
-    output = args.output or "BENCH_net_scaleout.json"
-    write_scaleout_report(
-        report,
-        output,
-        extra={
-            "workload": args.workload,
-            "clients": args.clients,
-            "object_size": args.object_size,
-            "objects": args.objects,
-            "seed": args.seed,
-            "pipeline_depth": args.depth,
-            "injection_rate": args.rate,
-        },
-    )
-    print(report.render())
-    print(f"report written to {output}")
-    failures: List[str] = []
-    if args.baseline:
-        failures = check_baseline(report.fleet, args.baseline)
-        for failure in failures:
-            print(f"BASELINE REGRESSION: {failure}")
-        if not failures:
-            print(f"baseline gate passed ({args.baseline})")
-    problems = report.problems() + failures
-    for problem in problems:
-        print(f"FAIL: {problem}")
-    return 1 if problems else 0
+        output = args.output or "BENCH_net.json"
+    extra = {key: value for key, value in load.items() if key != "duration"}
+    return _finish(result, output, extra, args.baseline)
 
 
 def cmd_livesmoke(argv: Sequence[str]) -> int:
@@ -403,20 +286,20 @@ def cmd_livesmoke(argv: Sequence[str]) -> int:
 
     from repro.net.smoke import run_smoke
 
-    report = asyncio.run(
-        run_smoke(
-            replicas=args.replicas,
-            proxies=args.proxies,
-            write_quorums=args.phases or [4, 2],
-            duration=args.duration,
-            clients=args.clients,
-            workload=args.workload,
-            seed=args.seed or 1,
-            pipeline_depth=args.depth,
+    return _finish(
+        asyncio.run(
+            run_smoke(
+                replicas=args.replicas,
+                proxies=args.proxies,
+                write_quorums=args.phases or [4, 2],
+                duration=args.duration,
+                clients=args.clients,
+                workload=args.workload,
+                seed=args.seed or 1,
+                pipeline_depth=args.depth,
+            )
         )
     )
-    print(report.render())
-    return 0 if report.ok else 1
 
 
 def cmd_livechaos(argv: Sequence[str]) -> int:
@@ -455,9 +338,9 @@ def cmd_livechaos(argv: Sequence[str]) -> int:
     )
     args = parser.parse_args(list(argv))
 
-    from repro.net.chaos import run_chaos, write_chaos_report
+    from repro.net.chaos import run_chaos
 
-    report = asyncio.run(
+    result = asyncio.run(
         run_chaos(
             replicas=args.replicas,
             proxies=args.proxies,
@@ -470,8 +353,8 @@ def cmd_livechaos(argv: Sequence[str]) -> int:
             pipeline_depth=args.depth,
         )
     )
-    write_chaos_report(
-        report,
+    return _finish(
+        result,
         args.output,
         extra={
             "workload": args.workload,
@@ -482,9 +365,6 @@ def cmd_livechaos(argv: Sequence[str]) -> int:
             "pipeline_depth": args.depth,
         },
     )
-    print(report.render())
-    print(f"report written to {args.output}")
-    return 0 if report.ok else 1
 
 
 NET_COMMANDS = {

@@ -1,4 +1,4 @@
-"""Closed-loop load generator and live benchmark for a running cluster.
+"""Closed-loop load generator, live-run harness and its one run report.
 
 Runs the *simulator's* :class:`~repro.sds.client.ClientNode` fleet — the
 same closed-loop, deadline-and-retry client code — on a
@@ -8,9 +8,14 @@ reconfiguration through the manager's HTTP endpoint, YCSB-style:
 
 * per-phase ops/sec and latency percentiles (p50/p95/p99) per op type;
 * a client-observed :class:`~repro.sds.client.OperationRecord` history
-  spanning *all* phases, fed to the repo's linearizability checker —
-  the live analogue of the simulator's consistency gates;
+  spanning *all* phases, Wing-Gong-checked per shard — the live analogue
+  of the simulator's consistency gates;
 * a ``BENCH_net.json`` report in the same spirit as ``BENCH_obs.json``.
+
+Every live harness (``loadgen``, ``livesmoke``, ``livechaos`` and the
+scale-out rings) produces the same :class:`LoadgenResult`; the ones that
+boot their own cluster do it through :func:`run_live`, and add their own
+verdicts through a :class:`HarnessChecks`.
 
 Write values are tagged with a per-phase prefix on top of the workload's
 globally-unique tokens, so the cross-phase history keeps the unique-value
@@ -24,21 +29,34 @@ import json
 import random
 import re
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import (
+    Any,
+    Awaitable,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+)
 
 from repro.common.rng import substream
 from repro.common.types import NodeId, OpType
 from repro.metrics.collector import OperationLog, percentile
+from repro.net.cluster import LocalCluster
 from repro.net.httpd import http_get, wait_healthy
 from repro.net.kernel import RealtimeKernel
 from repro.net.spec import ClusterSpec
 from repro.net.tcp import TcpTransport
+from repro.obs.exporters import parse_prometheus_text
 from repro.obs.metrics import Histogram, HistogramSnapshot
 from repro.sds.client import ClientNode, OperationRecord, OperationSource
 from repro.sds.consistency import HistoryChecker, SearchBudgetExceeded
 from repro.shard.router import ShardRouter
 from repro.workloads import ycsb
 from repro.workloads.base import Operation, Workload
+
+#: A parsed ``/metrics`` page: ``{series: value}``.
+Samples = Dict[str, float]
 
 
 @dataclass(frozen=True)
@@ -140,23 +158,88 @@ def merged_latency_summary(
     }
 
 
+def metric_value(
+    samples: Samples, family: str, *labels: str
+) -> Optional[float]:
+    """Sum of the series of ``family`` in a parsed ``/metrics`` page that
+    carry every label text (e.g. ``'node="storage-2"'``); ``None`` when
+    no series matches."""
+    matches = [
+        value
+        for series, value in samples.items()
+        if series.partition("{")[0] == family
+        and all(label in series for label in labels)
+    ]
+    return sum(matches) if matches else None
+
+
+class HarnessChecks:
+    """What a harness adds to the one run report.
+
+    :meth:`LoadgenResult.problems`, :meth:`LoadgenResult.render` and
+    :meth:`LoadgenResult.as_dict` derive the phase, history and worker
+    verdicts themselves, then append what the attached checks add.  This
+    base adds nothing: it is what a plain ``loadgen`` run carries.
+    """
+
+    title = "loadgen"
+
+    def tolerates_failures(self, phase: PhaseResult) -> bool:
+        """Whether ``phase``'s failed client operations pass the run."""
+        del phase
+        return False
+
+    def verdicts(self, result: LoadgenResult) -> List[str]:
+        """Problems beyond the run report's own."""
+        del result
+        return []
+
+    def json_fields(self, result: LoadgenResult) -> Dict[str, object]:
+        """Top-level report fields beyond the run report's own."""
+        del result
+        return {}
+
+    def render_lines(self, result: LoadgenResult) -> List[str]:
+        """Summary lines beyond the run report's own."""
+        del result
+        return []
+
+
 @dataclass
 class LoadgenResult:
-    """Full outcome of a loadgen/bench run."""
+    """Full outcome of one live run: the only run report."""
 
     phases: List[PhaseResult]
     reconfig_seconds: Optional[float]
-    history_records: int
-    consistency_violations: int
-    linearizable: Optional[bool]
+    #: Wing-Gong verdict per shard; an unsharded run is one ``shard-0``.
+    shard_outcomes: List[ShardOutcome]
     records: List[OperationRecord] = field(default_factory=list)
-    #: Per-shard verdicts (empty for unsharded runs, where the top-level
-    #: fields already describe the single history).
-    shard_outcomes: List[ShardOutcome] = field(default_factory=list)
+    #: Worker exit codes, workers found dead before shutdown and their
+    #: last RSS/CPU snapshot; empty when the cluster was not booted by
+    #: :func:`run_live`.
+    exit_codes: Dict[str, int] = field(default_factory=dict)
+    dead_workers: List[str] = field(default_factory=list)
+    resources: Dict[str, Optional[Dict[str, float]]] = field(
+        default_factory=dict
+    )
+    checks: HarnessChecks = field(default_factory=HarnessChecks)
 
     @property
-    def total_failed(self) -> int:
-        return sum(phase.failed for phase in self.phases)
+    def history_records(self) -> int:
+        return sum(outcome.records for outcome in self.shard_outcomes)
+
+    @property
+    def consistency_violations(self) -> int:
+        return sum(outcome.violations for outcome in self.shard_outcomes)
+
+    @property
+    def linearizable(self) -> Optional[bool]:
+        verdicts = [outcome.linearizable for outcome in self.shard_outcomes]
+        if any(verdict is False for verdict in verdicts):
+            return False
+        if any(verdict is None for verdict in verdicts):
+            return None
+        return True
 
     def problems(self) -> List[str]:
         """Everything that must fail the run, as human-readable strings.
@@ -168,39 +251,36 @@ class LoadgenResult:
         on it would silently stop checking as histories grow.
         """
         problems: List[str] = []
-        if self.total_failed:
-            problems.append(
-                f"{self.total_failed} client operations failed"
-            )
-        if self.consistency_violations:
-            problems.append(
-                f"{self.consistency_violations} consistency violations"
-            )
-        if self.linearizable is None:
-            problems.append(
-                "linearizability unverified: search budget exceeded"
-            )
-        elif not self.linearizable:
-            problems.append("history is not linearizable")
         for phase in self.phases:
             if phase.operations == 0:
                 problems.append(
                     f"phase {phase.name} completed zero operations"
                 )
+            if phase.failed and not self.checks.tolerates_failures(phase):
+                problems.append(
+                    f"phase {phase.name}: {phase.failed} client "
+                    "operations failed"
+                )
+        sharded = len(self.shard_outcomes) > 1
         for outcome in self.shard_outcomes:
+            where = f"shard {outcome.shard}: " if sharded else ""
             if outcome.violations:
                 problems.append(
-                    f"shard {outcome.shard}: {outcome.violations} "
-                    "consistency violations"
+                    f"{where}{outcome.violations} consistency violations"
                 )
             if outcome.linearizable is None:
                 problems.append(
-                    f"shard {outcome.shard}: linearizability unverified"
+                    f"{where}linearizability unverified: search budget "
+                    "exceeded"
                 )
             elif not outcome.linearizable:
-                problems.append(
-                    f"shard {outcome.shard}: history is not linearizable"
-                )
+                problems.append(f"{where}history is not linearizable")
+        for name in self.dead_workers:
+            problems.append(f"{name} died during the run")
+        for name, code in sorted(self.exit_codes.items()):
+            if code != 0:
+                problems.append(f"{name} exited with code {code}")
+        problems.extend(self.checks.verdicts(self))
         return problems
 
     def aggregate_latencies(self) -> Dict[str, Dict[str, object]]:
@@ -240,11 +320,58 @@ class LoadgenResult:
             "ok": not problems,
             "problems": problems,
         }
-        if self.shard_outcomes:
-            payload["shards"] = [
+        if len(self.shard_outcomes) > 1:
+            payload["shard_outcomes"] = [
                 outcome.as_dict() for outcome in self.shard_outcomes
             ]
+        payload.update(self.checks.json_fields(self))
         return payload
+
+    def render(self) -> str:
+        lines = [f"{self.checks.title}:"]
+        for phase in self.phases:
+            per_shard = "".join(
+                f"; {shard}={count}"
+                for shard, count in sorted(phase.shard_operations.items())
+            )
+            latency = "".join(
+                f"; {kind} p50 {summary['p50']:.4f}s "
+                f"p99 {summary['p99']:.4f}s"
+                for kind, summary in sorted(phase.latencies.items())
+                if kind != "all" and summary.get("count")
+            )
+            lines.append(
+                f"  phase {phase.name}: {phase.operations} ops "
+                f"({phase.ops_per_sec:.0f}/s{per_shard}), "
+                f"{phase.failed} failed, {phase.retries} retries{latency}"
+            )
+        lines.append(
+            f"  history: {self.history_records} records, "
+            f"{self.consistency_violations} violations, "
+            f"linearizable={self.linearizable}"
+        )
+        if len(self.shard_outcomes) > 1:
+            lines.extend(
+                f"  {outcome.shard}: {outcome.records} records, "
+                f"linearizable={outcome.linearizable}"
+                for outcome in self.shard_outcomes
+            )
+        lines.extend(f"  {line}" for line in self.checks.render_lines(self))
+        for name, snapshot in sorted(self.resources.items()):
+            if snapshot is not None:
+                lines.append(
+                    f"  {name}: rss={snapshot['rss_bytes'] / 1e6:.1f}MB "
+                    f"cpu={snapshot['cpu_seconds']:.2f}s"
+                )
+        if self.exit_codes:
+            lines.append(f"  exits: {sorted(self.exit_codes.items())}")
+        problems = self.problems()
+        if problems:
+            lines.append("  PROBLEMS:")
+            lines.extend(f"    - {problem}" for problem in problems)
+        else:
+            lines.append("  all checks passed")
+        return "\n".join(lines)
 
 
 def _build_workload(workload: str, object_size: int, objects: int) -> Workload:
@@ -301,6 +428,8 @@ class LoadGenerator:
         self.kernel: Optional[RealtimeKernel] = None
         self.transport: Optional[TcpTransport] = None
         self.records: List[OperationRecord] = []
+        #: Wall seconds spent in live reconfigurations (None: none ran).
+        self.reconfig_seconds: Optional[float] = None
         self._next_client_index = 0
         #: Per-phase latency samples, collected via the per-phase logs.
         self._phases: List[PhaseResult] = []
@@ -472,51 +601,38 @@ class LoadGenerator:
         self._phases.append(result)
         return result
 
-    # -- per-object read leases ----------------------------------------------
+    async def run_quorum_phases(
+        self, write_quorums: Sequence[int], duration: float
+    ) -> None:
+        """One timed ``W=<w>`` phase per write quorum, with a live
+        reconfiguration before each phase after the first (and before
+        the first when it differs from the spec's initial quorum)."""
+        for position, write_quorum in enumerate(write_quorums):
+            if position > 0 or (
+                write_quorum != self.spec.initial_write_quorum
+            ):
+                await self.reconfigure(write_quorum)
+            await self.run_phase(
+                name=f"W={write_quorum}",
+                duration=duration,
+                write_quorum=write_quorum,
+            )
 
-    async def set_leases(self, enabled: bool) -> None:
-        """Toggle the lease-read fast path on every proxy.
+    # -- cluster endpoints ---------------------------------------------------
 
-        Only the read side toggles: the mandatory-primary *write* rule
-        is static cluster config, so flipping this mid-run is always
-        safe — it changes which path reads take, never what writes
-        guarantee.
-        """
-        flag = "1" if enabled else "0"
-        for address in self.spec.proxies:
+    async def scrape(self) -> Dict[str, Samples]:
+        """Every node's ``/metrics`` page, parsed: ``{node: samples}``."""
+        scrapes: Dict[str, Samples] = {}
+        for address in self.spec.all_addresses():
             status, body = await http_get(
-                address.host,
-                address.http_port,
-                f"/leases?enable={flag}",
-                timeout=10.0,
+                address.host, address.http_port, "/metrics", timeout=5.0
             )
             if status != 200:
                 raise RuntimeError(
-                    f"lease toggle on {address.name} failed: "
-                    f"{status} {body!r}"
+                    f"{address.name}: /metrics returned {status}"
                 )
-
-    async def scrape_lease_counters(self) -> Dict[str, float]:
-        """Sum the lease gauges across the fleet's ``/metrics`` pages."""
-        pattern = re.compile(
-            r"^(qopt_lease[a-z_]*|qopt_leases[a-z_]*)\{[^}]*\}\s+"
-            r"([0-9.eE+-]+)$"
-        )
-        totals: Dict[str, float] = {}
-        for address in self.spec.all_addresses():
-            status, body = await http_get(
-                address.host, address.http_port, "/metrics", timeout=10.0
-            )
-            if status != 200:
-                continue
-            for line in body.splitlines():
-                match = pattern.match(line.strip())
-                if match:
-                    name, value = match.group(1), float(match.group(2))
-                    totals[name] = totals.get(name, 0.0) + value
-        return totals
-
-    # -- reconfiguration -----------------------------------------------------
+            scrapes[address.name] = parse_prometheus_text(body)
+        return scrapes
 
     async def reconfigure(
         self, write_quorum: int, shard: Optional[str] = None
@@ -549,7 +665,9 @@ class LoadGenerator:
             match = re.search(r"epoch=(\d+)", body)
             if match:
                 self.router.note_epoch(view.name, int(match.group(1)))
-        return self.kernel.tick() - begin
+        took = self.kernel.tick() - begin
+        self.reconfig_seconds = (self.reconfig_seconds or 0.0) + took
+        return took
 
     async def refresh_routes(self) -> List[str]:
         """Poll every shard manager's ``/healthz`` for its current epoch
@@ -574,43 +692,19 @@ class LoadGenerator:
 
     def check_history(
         self, max_states: int = 2_000_000
-    ) -> tuple[int, Optional[bool]]:
-        """Run the consistency + linearizability checkers on the history.
+    ) -> List[ShardOutcome]:
+        """Consistency + Wing-Gong linearizability, per owning shard.
 
-        Reads that completed without observing any write decode against
-        the register's initial value; the checker handles that natively.
-        Returns ``(violations, linearizable)`` where ``linearizable`` is
-        ``None`` when the search budget was exceeded.  The budget is
-        sized for pipelined fleets: depth ``d`` clients keep ``d``
-        operations per client concurrent, which widens every Wing-Gong
-        chunk the search must clear.
-        """
-        checker = HistoryChecker()
-        for op_record in self.records:
-            checker.record(op_record)
-        violations = checker.check()
-        linearizable: Optional[bool]
-        try:
-            lin_violations = checker.check_linearizable(
-                max_states=max_states
-            )
-            linearizable = not lin_violations
-            violations = list(violations) + list(lin_violations)
-        except SearchBudgetExceeded:
-            linearizable = None  # not refuted, just too costly to confirm
-        return len(violations), linearizable
-
-    def check_history_by_shard(
-        self, max_states: int = 2_000_000
-    ) -> List["ShardOutcome"]:
-        """Per-shard Wing-Gong: partition the history by owning shard
-        and verify each shard's sub-history independently.
-
-        Sharding makes this sound, not just cheaper: objects never span
-        shards, linearizability is local to an object's shard, and the
-        per-shard verdicts compose into the fleet verdict.  A violation
-        inside one shard is also pinned to that shard, which is what the
-        independence tests assert on.
+        Sharding makes the split sound, not just cheaper: objects never
+        span shards, linearizability is local to an object's shard, and
+        the per-shard verdicts compose into the fleet verdict.  An
+        unsharded spec is one implicit ``shard-0`` holding the whole
+        history.  Reads that completed without observing any write decode
+        against the register's initial value; the checker handles that
+        natively.  ``linearizable`` is ``None`` when the search budget
+        was exceeded.  The budget is sized for pipelined fleets: depth
+        ``d`` clients keep ``d`` operations per client concurrent, which
+        widens every Wing-Gong chunk the search must clear.
         """
         checkers = {
             name: HistoryChecker() for name in self.shard_map.shard_names
@@ -632,7 +726,7 @@ class LoadGenerator:
                 linearizable = not lin_violations
                 violations.extend(lin_violations)
             except SearchBudgetExceeded:
-                linearizable = None
+                linearizable = None  # not refuted, just too costly
             outcomes.append(
                 ShardOutcome(
                     shard=name,
@@ -643,37 +737,11 @@ class LoadGenerator:
             )
         return outcomes
 
-    def result(
-        self, reconfig_seconds: Optional[float]
-    ) -> LoadgenResult:
-        if self.spec.is_sharded():
-            outcomes = self.check_history_by_shard()
-            verdicts = [outcome.linearizable for outcome in outcomes]
-            linearizable: Optional[bool]
-            if any(verdict is False for verdict in verdicts):
-                linearizable = False
-            elif any(verdict is None for verdict in verdicts):
-                linearizable = None
-            else:
-                linearizable = True
-            return LoadgenResult(
-                phases=list(self._phases),
-                reconfig_seconds=reconfig_seconds,
-                history_records=len(self.records),
-                consistency_violations=sum(
-                    outcome.violations for outcome in outcomes
-                ),
-                linearizable=linearizable,
-                records=list(self.records),
-                shard_outcomes=outcomes,
-            )
-        violations, linearizable = self.check_history()
+    def result(self) -> LoadgenResult:
         return LoadgenResult(
             phases=list(self._phases),
-            reconfig_seconds=reconfig_seconds,
-            history_records=len(self.records),
-            consistency_violations=violations,
-            linearizable=linearizable,
+            reconfig_seconds=self.reconfig_seconds,
+            shard_outcomes=self.check_history(),
             records=list(self.records),
         )
 
@@ -690,8 +758,9 @@ async def run_bench(
     pipeline_depth: int = 1,
     injection_rate: float = 0.0,
 ) -> LoadgenResult:
-    """The live benchmark: one timed phase per write-quorum in ``phases``,
-    with a live reconfiguration before each phase after the first."""
+    """The live benchmark against a running cluster: one timed phase per
+    write-quorum in ``phases``, with a live reconfiguration between
+    phases."""
     generator = LoadGenerator(
         spec,
         clients=clients,
@@ -705,94 +774,61 @@ async def run_bench(
     await generator.start()
     try:
         await generator.wait_cluster_healthy()
-        reconfig_total: Optional[float] = None
-        for position, write_quorum in enumerate(phases):
-            if position > 0:
-                took = await generator.reconfigure(write_quorum)
-                reconfig_total = (reconfig_total or 0.0) + took
-            elif write_quorum != spec.initial_write_quorum:
-                took = await generator.reconfigure(write_quorum)
-                reconfig_total = (reconfig_total or 0.0) + took
-            await generator.run_phase(
-                name=f"W={write_quorum}",
-                duration=duration,
-                write_quorum=write_quorum,
-            )
-        return generator.result(reconfig_total)
+        await generator.run_quorum_phases(phases, duration)
+        return generator.result()
     finally:
         await generator.stop()
 
 
-async def run_lease_bench(
+#: What a harness runs on the booted cluster; returns the checks it adds.
+Drive = Callable[[LoadGenerator, LocalCluster], Awaitable[HarnessChecks]]
+
+
+async def run_live(
     spec: ClusterSpec,
-    duration: float = 5.0,
-    clients: int = 8,
-    workload: str = "b",
-    object_size: int = 4096,
-    objects: int = 64,
-    seed: int = 1,
-    pipeline_depth: int = 1,
-    injection_rate: float = 0.0,
-) -> tuple[LoadgenResult, Dict[str, float]]:
-    """A/B the lease fast path on one live cluster, same W throughout.
+    drive: Drive,
+    workdir: Optional[str] = None,
+    **load: Any,
+) -> LoadgenResult:
+    """Boot a local cluster from ``spec``, run ``drive`` against it and
+    return the run report; never leaves processes behind.
 
-    Phase 1 (``<workload>/quorum``) runs with lease reads toggled off on
-    every proxy — the pure quorum path under the mandatory-primary write
-    rule.  Phase 2 (``<workload>/leased``) toggles them back on.  Both
-    phases share the cross-phase history, so the combined run is
-    Wing-Gong-checked like any other bench.  Returns the result plus the
-    fleet-summed lease counters (hits/misses/grants/breaks), which the
-    report embeds so a "2x speedup" claim can be audited against an
-    actual lease hit rate.
+    The one boot/teardown path behind every self-booting harness: start
+    the workers, wait until healthy, start the load generator (``load``
+    are its keyword arguments), drive, stop the generator, snapshot
+    per-worker resources and dead workers (a worker that died mid-run
+    must be reported as such, not folded into the graceful exit codes —
+    and its usage is only readable while it is alive), shut down, kill
+    whatever is left.  Exit codes and dead workers become problems of
+    the returned report; the history is checked after shutdown.
     """
-    generator = LoadGenerator(
-        spec,
-        clients=clients,
-        workload=workload,
-        object_size=object_size,
-        objects=objects,
-        seed=seed,
-        pipeline_depth=pipeline_depth,
-        injection_rate=injection_rate,
-    )
-    label = workload.upper()
-    await generator.start()
+    cluster = LocalCluster(spec, workdir=workdir)
     try:
-        await generator.wait_cluster_healthy()
-        write_quorum = spec.initial_write_quorum
-        await generator.set_leases(False)
-        await generator.run_phase(
-            name=f"{label}/quorum",
-            duration=duration,
-            write_quorum=write_quorum,
-        )
-        await generator.set_leases(True)
-        await generator.run_phase(
-            name=f"{label}/leased",
-            duration=duration,
-            write_quorum=write_quorum,
-        )
-        counters = await generator.scrape_lease_counters()
-        return generator.result(None), counters
+        cluster.start()
+        await cluster.wait_healthy()
+        generator = LoadGenerator(cluster.spec, **load)
+        await generator.start()
+        try:
+            checks = await drive(generator, cluster)
+        finally:
+            await generator.stop()
+        resources = {
+            worker.name: worker.resources() for worker in cluster.workers
+        }
+        dead_workers = [worker.name for worker in cluster.dead_workers()]
+        exit_codes = await cluster.shutdown()
     finally:
-        await generator.stop()
-
-
-def lease_speedup(result: LoadgenResult) -> Optional[float]:
-    """ops/s ratio of the ``*/leased`` phase over the ``*/quorum`` phase."""
-    quorum = leased = None
-    for phase in result.phases:
-        if phase.name.endswith("/quorum"):
-            quorum = phase.ops_per_sec
-        elif phase.name.endswith("/leased"):
-            leased = phase.ops_per_sec
-    if not quorum or leased is None:
-        return None
-    return leased / quorum
+        cluster.kill()
+    result = generator.result()
+    result.exit_codes = exit_codes
+    result.dead_workers = dead_workers
+    result.resources = resources
+    result.checks = checks
+    return result
 
 
 def write_report(result: LoadgenResult, path: str, extra: dict) -> None:
-    """Write ``BENCH_net.json``-style output."""
+    """Write the run report as JSON (``BENCH_net*.json``)."""
     payload = dict(extra)
     payload.update(result.as_dict())
     with open(path, "w", encoding="utf-8") as handle:
@@ -835,14 +871,15 @@ def check_baseline(
 
 __all__ = [
     "BASELINE_FLOOR",
+    "HarnessChecks",
     "LoadGenerator",
     "LoadgenResult",
     "PhaseResult",
     "ShardOutcome",
     "check_baseline",
-    "lease_speedup",
     "merged_latency_summary",
+    "metric_value",
     "run_bench",
-    "run_lease_bench",
+    "run_live",
     "write_report",
 ]

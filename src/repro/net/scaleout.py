@@ -19,19 +19,24 @@ every phase, the merged-histogram aggregate latencies, the machine's
 core count and the fleet/single-ring speedup.  Near-linear scaling is
 only physically possible up to ``min(S, cores)`` — the report records
 both so a 1-core CI runner and a 16-core workstation read the same
-numbers honestly.
+numbers honestly.  Both rings boot through :func:`run_live`, so a worker
+of either that dies or exits uncleanly fails the run.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.net.cluster import LocalCluster
-from repro.net.loadgen import LoadGenerator, LoadgenResult, PhaseResult
+from repro.net.loadgen import (
+    HarnessChecks,
+    LoadGenerator,
+    LoadgenResult,
+    run_live,
+)
 from repro.net.spec import build_spec
 
 
@@ -43,46 +48,51 @@ def available_cores() -> int:
         return os.cpu_count() or 1
 
 
+def _ops_per_sec(result: LoadgenResult, phase_name: str) -> float:
+    for phase in result.phases:
+        if phase.name == phase_name:
+            return phase.ops_per_sec
+    return 0.0
+
+
 @dataclass
-class ScaleoutReport:
-    """Everything one scale-out benchmark run measured."""
+class ScaleoutReport(HarnessChecks):
+    """What the scale-out run adds to the fleet's report: the single-ring
+    reference, the concurrent reconfiguration storm and starved shards."""
+
+    title = "scaleout"
 
     shards: int
     cores: int
-    fleet: LoadgenResult
-    single_ring: Optional[PhaseResult]
+    #: The single-ring reference run's own report.
+    single_ring: LoadgenResult
     #: Wall seconds each shard's mid-load reconfiguration took.
     reconfig_seconds: Dict[str, float] = field(default_factory=dict)
     #: Routing-table refreshes the storm triggered.
     route_refreshes: int = 0
 
     @property
-    def fleet_ops_per_sec(self) -> float:
-        """Aggregate fleet throughput in the steady pre-reconfig phase."""
-        for phase in self.fleet.phases:
-            if phase.name == "pre-reconfig":
-                return phase.ops_per_sec
-        return 0.0
-
-    @property
-    def speedup(self) -> Optional[float]:
-        if self.single_ring is None or self.single_ring.ops_per_sec <= 0:
-            return None
-        return self.fleet_ops_per_sec / self.single_ring.ops_per_sec
-
-    @property
     def expected_scaling(self) -> int:
         """Near-linear scaling is bounded by cores: min(S, cores)."""
         return max(1, min(self.shards, self.cores))
 
-    def problems(self) -> List[str]:
-        problems = list(self.fleet.problems())
+    def speedup(self, fleet: LoadgenResult) -> Optional[float]:
+        """Steady pre-reconfig fleet ops/sec over the single ring's."""
+        reference = _ops_per_sec(self.single_ring, "single-ring")
+        steady = _ops_per_sec(fleet, "pre-reconfig")
+        return steady / reference if reference > 0 else None
+
+    def verdicts(self, result: LoadgenResult) -> List[str]:
+        problems = [
+            f"single-ring: {problem}"
+            for problem in self.single_ring.problems()
+        ]
         if len(self.reconfig_seconds) < 2:
             problems.append(
                 "concurrent reconfiguration storm did not complete "
                 f"({len(self.reconfig_seconds)}/2 shards reconfigured)"
             )
-        for phase in self.fleet.phases:
+        for phase in result.phases:
             for shard, count in sorted(phase.shard_operations.items()):
                 if count == 0:
                     problems.append(
@@ -91,128 +101,39 @@ class ScaleoutReport:
                     )
         return problems
 
-    def as_dict(self) -> dict:
-        problems = self.problems()
-        payload: dict = {
+    def json_fields(self, result: LoadgenResult) -> Dict[str, object]:
+        speedup = self.speedup(result)
+        return {
             "shards": self.shards,
             "cores": self.cores,
             "expected_scaling": self.expected_scaling,
-            "single_ring": (
-                None
-                if self.single_ring is None
-                else self.single_ring.as_dict()
-            ),
-            "speedup": (
-                None if self.speedup is None else round(self.speedup, 2)
-            ),
-            "reconfig_seconds": {
-                shard: round(seconds, 3)
-                for shard, seconds in sorted(self.reconfig_seconds.items())
-            },
+            "single_ring": self.single_ring.phases[0].as_dict(),
+            "speedup": None if speedup is None else round(speedup, 2),
             "route_refreshes": self.route_refreshes,
-            "ok": not problems,
-            "problems": problems,
         }
-        fleet = self.fleet.as_dict()
-        # The fleet result's own ok/problems are subsumed by ours, and
-        # its per-shard verdict list must not clobber our shard *count*.
-        fleet.pop("ok", None)
-        fleet.pop("problems", None)
-        if "shards" in fleet:
-            fleet["shard_outcomes"] = fleet.pop("shards")
-        payload.update(fleet)
-        return payload
 
-    def render(self) -> str:
-        lines = [f"scaleout: {self.shards} shards on {self.cores} core(s)"]
-        if self.single_ring is not None:
+    def render_lines(self, result: LoadgenResult) -> List[str]:
+        reference = _ops_per_sec(self.single_ring, "single-ring")
+        lines = [
+            f"{self.shards} shards on {self.cores} core(s)",
+            f"single-ring: {reference:.0f} ops/s",
+        ]
+        speedup = self.speedup(result)
+        if speedup is not None:
             lines.append(
-                f"  single-ring: {self.single_ring.ops_per_sec:.0f} ops/s"
+                f"speedup: {speedup:.2f}x (near-linear bound on this "
+                f"machine: {self.expected_scaling}x)"
             )
-        for phase in self.fleet.phases:
-            per_shard = ", ".join(
-                f"{shard}={count}"
-                for shard, count in sorted(phase.shard_operations.items())
-            )
-            lines.append(
-                f"  phase {phase.name}: {phase.operations} ops "
-                f"({phase.ops_per_sec:.0f}/s; {per_shard}), "
-                f"{phase.failed} failed"
-            )
-        if self.speedup is not None:
-            lines.append(
-                f"  speedup: {self.speedup:.2f}x "
-                f"(near-linear bound on this machine: "
-                f"{self.expected_scaling}x)"
-            )
-        for shard, seconds in sorted(self.reconfig_seconds.items()):
-            lines.append(f"  reconfig {shard}: {seconds * 1000:.0f} ms")
-        for outcome in self.fleet.shard_outcomes:
-            lines.append(
-                f"  {outcome.shard}: {outcome.records} records, "
-                f"linearizable={outcome.linearizable}"
-            )
-        problems = self.problems()
-        if problems:
-            lines.append("  PROBLEMS:")
-            lines.extend(f"    - {problem}" for problem in problems)
-        else:
-            lines.append("  all checks passed")
-        return "\n".join(lines)
-
-
-async def _run_single_ring(
-    replicas: int,
-    proxies: int,
-    duration: float,
-    clients: int,
-    workload: str,
-    object_size: int,
-    objects: int,
-    seed: int,
-    pipeline_depth: int,
-    injection_rate: float,
-) -> PhaseResult:
-    """The reference measurement: one ring, same client fleet."""
-    spec = build_spec(
-        replicas=replicas,
-        proxies=proxies,
-        write_quorum=3 if replicas >= 3 else replicas,
-        seed=seed,
-    )
-    cluster = LocalCluster(spec)
-    try:
-        cluster.start()
-        await cluster.wait_healthy()
-        generator = LoadGenerator(
-            cluster.spec,
-            clients=clients,
-            workload=workload,
-            object_size=object_size,
-            objects=objects,
-            seed=seed,
-            pipeline_depth=pipeline_depth,
-            injection_rate=injection_rate,
+        lines.extend(
+            f"reconfig {shard}: {seconds * 1000:.0f} ms"
+            for shard, seconds in sorted(self.reconfig_seconds.items())
         )
-        await generator.start()
-        try:
-            phase = await generator.run_phase(
-                name="single-ring",
-                duration=duration,
-                write_quorum=spec.initial_write_quorum,
-            )
-        finally:
-            await generator.stop()
-        await cluster.shutdown()
-        return phase
-    finally:
-        cluster.kill()
+        return lines
 
 
 async def run_scaleout(
     shards: int = 2,
     replicas: int = 5,
-    proxies_per_shard: int = 1,
     duration: float = 3.0,
     clients: int = 8,
     workload: str = "a",
@@ -221,8 +142,7 @@ async def run_scaleout(
     seed: int = 1,
     pipeline_depth: int = 4,
     injection_rate: float = 0.0,
-    single_ring_reference: bool = True,
-) -> ScaleoutReport:
+) -> LoadgenResult:
     """Run the full scale-out sequence; never leaves processes behind.
 
     The reference and the fleet run *sequentially* so they never contend
@@ -231,117 +151,92 @@ async def run_scaleout(
     """
     if shards < 2:
         raise ValueError("scaleout needs at least 2 shards")
-    single_ring: Optional[PhaseResult] = None
-    if single_ring_reference:
-        single_ring = await _run_single_ring(
-            replicas=replicas,
-            proxies=proxies_per_shard,
-            duration=duration,
-            clients=clients,
-            workload=workload,
-            object_size=object_size,
-            objects=objects,
-            seed=seed,
-            pipeline_depth=pipeline_depth,
-            injection_rate=injection_rate,
+    load: Dict[str, Any] = dict(
+        clients=clients,
+        workload=workload,
+        object_size=object_size,
+        objects=objects,
+        seed=seed,
+        pipeline_depth=pipeline_depth,
+        injection_rate=injection_rate,
+    )
+    write_quorum = 3 if replicas >= 3 else replicas
+
+    async def reference(
+        generator: LoadGenerator, cluster: LocalCluster
+    ) -> HarnessChecks:
+        del cluster
+        await generator.run_phase(
+            name="single-ring", duration=duration, write_quorum=write_quorum
         )
+        return HarnessChecks()
+
+    single_ring = await run_live(
+        build_spec(
+            replicas=replicas, proxies=1, write_quorum=write_quorum, seed=seed
+        ),
+        reference,
+        **load,
+    )
 
     # Shard 0 starts wide (W=4) and will shrink; shard 1 starts narrow
     # (W=2) and will grow — the opposing pair the storm phase flips.
     quorums = [3] * shards
     quorums[0] = min(4, replicas)
     quorums[1] = 2
-    spec = build_spec(
+
+    async def storm(
+        generator: LoadGenerator, cluster: LocalCluster
+    ) -> ScaleoutReport:
+        del cluster
+        reconfig_seconds: Dict[str, float] = {}
+        await generator.run_phase(
+            name="pre-reconfig", duration=duration, write_quorum=quorums[0]
+        )
+
+        async def flip(shard: str, write_quorum: int) -> None:
+            # Let the phase's fleet ramp up before reconfiguring, so the
+            # storm genuinely runs under load.
+            await asyncio.sleep(duration * 0.25)
+            reconfig_seconds[shard] = await generator.reconfigure(
+                write_quorum, shard=shard
+            )
+
+        await asyncio.gather(
+            generator.run_phase(
+                name="reconfig-storm", duration=duration, write_quorum=2
+            ),
+            flip("shard-0", 2),
+            flip("shard-1", min(4, replicas)),
+        )
+        await generator.run_phase(
+            name="post-reconfig", duration=duration, write_quorum=2
+        )
+        return ScaleoutReport(
+            shards=shards,
+            cores=available_cores(),
+            single_ring=single_ring,
+            reconfig_seconds=reconfig_seconds,
+            route_refreshes=(
+                generator.router.refreshes
+                if generator.router is not None
+                else 0
+            ),
+        )
+
+    fleet = build_spec(
         replicas=replicas,
-        proxies=proxies_per_shard,
-        write_quorum=3 if replicas >= 3 else replicas,
+        proxies=1,
+        write_quorum=write_quorum,
         seed=seed,
         shards=shards,
         shard_write_quorums=quorums,
     )
-    cluster = LocalCluster(spec)
-    reconfig_seconds: Dict[str, float] = {}
-    try:
-        cluster.start()
-        await cluster.wait_healthy()
-        generator = LoadGenerator(
-            cluster.spec,
-            clients=clients,
-            workload=workload,
-            object_size=object_size,
-            objects=objects,
-            seed=seed,
-            pipeline_depth=pipeline_depth,
-            injection_rate=injection_rate,
-        )
-        await generator.start()
-        try:
-            await generator.run_phase(
-                name="pre-reconfig",
-                duration=duration,
-                write_quorum=quorums[0],
-            )
-
-            async def flip(shard: str, write_quorum: int) -> None:
-                # Let the phase's fleet ramp up before reconfiguring,
-                # so the storm genuinely runs under load.
-                await asyncio.sleep(duration * 0.25)
-                reconfig_seconds[shard] = await generator.reconfigure(
-                    write_quorum, shard=shard
-                )
-
-            storm = asyncio.gather(
-                generator.run_phase(
-                    name="reconfig-storm",
-                    duration=duration,
-                    write_quorum=2,
-                ),
-                flip("shard-0", 2),
-                flip("shard-1", min(4, replicas)),
-            )
-            await storm
-            await generator.run_phase(
-                name="post-reconfig",
-                duration=duration,
-                write_quorum=2,
-            )
-            result = generator.result(
-                sum(reconfig_seconds.values()) or None
-            )
-            refreshes = (
-                generator.router.refreshes
-                if generator.router is not None
-                else 0
-            )
-        finally:
-            await generator.stop()
-        await cluster.shutdown()
-    finally:
-        cluster.kill()
-
-    return ScaleoutReport(
-        shards=shards,
-        cores=available_cores(),
-        fleet=result,
-        single_ring=single_ring,
-        reconfig_seconds=reconfig_seconds,
-        route_refreshes=refreshes,
-    )
-
-
-def write_scaleout_report(
-    report: ScaleoutReport, path: str, extra: Optional[dict] = None
-) -> None:
-    """Write ``BENCH_net_scaleout.json``."""
-    payload = dict(extra or {})
-    payload.update(report.as_dict())
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return await run_live(fleet, storm, **load)
 
 
 __all__ = [
     "ScaleoutReport",
     "available_cores",
     "run_scaleout",
-    "write_scaleout_report",
 ]

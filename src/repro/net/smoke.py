@@ -8,21 +8,27 @@
 4. scrape every node's Prometheus endpoint;
 5. shut the cluster down gracefully.
 
-It fails (non-zero exit) if any operation failed permanently, the
-history is not linearizable, a metrics scrape is missing expected
-families, or any worker exits uncleanly.
+It fails (non-zero exit) on anything the run report fails on — a failed
+operation, an unverified or non-linearizable history, a dead worker or
+an unclean exit — and when a metrics scrape is missing an expected
+family.
 """
 
 from __future__ import annotations
 
-import asyncio
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Sequence
 
 from repro.net.cluster import LocalCluster
-from repro.net.httpd import http_get
-from repro.net.loadgen import LoadGenerator, LoadgenResult
-from repro.net.spec import ClusterSpec
+from repro.net.loadgen import (
+    HarnessChecks,
+    LoadGenerator,
+    LoadgenResult,
+    Samples,
+    metric_value,
+    run_live,
+)
+from repro.net.spec import build_spec
 
 #: Metric families every node's /metrics scrape must contain.
 REQUIRED_METRICS = (
@@ -32,66 +38,26 @@ REQUIRED_METRICS = (
 
 
 @dataclass
-class SmokeReport:
-    """Everything the smoke run verified."""
+class SmokeReport(HarnessChecks):
+    """What the smoke run adds: every node exports the required families."""
 
-    result: LoadgenResult
-    scrapes: Dict[str, str]
-    exit_codes: Dict[str, int]
-    problems: List[str]
-    #: Last per-worker RSS/CPU snapshot before shutdown (from /proc),
-    #: attributing the run's throughput to cores per worker.
-    resources: Dict[str, Optional[Dict[str, float]]] = field(
-        default_factory=dict
-    )
+    title = "live-smoke"
 
-    @property
-    def ok(self) -> bool:
-        return not self.problems
+    #: Every node's parsed ``/metrics`` page, scraped after the load.
+    scrapes: Dict[str, Samples]
 
-    def render(self) -> str:
-        lines = ["live-smoke:"]
-        for phase in self.result.phases:
-            lines.append(
-                f"  phase {phase.name}: {phase.operations} ops "
-                f"({phase.ops_per_sec:.0f}/s), {phase.failed} failed, "
-                f"{phase.retries} retries"
-            )
-        lines.append(
-            f"  history: {self.result.history_records} records, "
-            f"{self.result.consistency_violations} violations, "
-            f"linearizable={self.result.linearizable}"
-        )
-        lines.append(f"  scrapes: {len(self.scrapes)} endpoints ok")
-        for name in sorted(self.resources):
-            snapshot = self.resources[name]
-            if snapshot is None:
-                continue
-            lines.append(
-                f"  {name}: rss={snapshot['rss_bytes'] / 1e6:.1f}MB "
-                f"cpu={snapshot['cpu_seconds']:.2f}s"
-            )
-        lines.append(f"  exits: {sorted(self.exit_codes.items())}")
-        if self.problems:
-            lines.append("  PROBLEMS:")
-            lines.extend(f"    - {problem}" for problem in self.problems)
-        else:
-            lines.append("  all checks passed")
-        return "\n".join(lines)
+    def verdicts(self, result: LoadgenResult) -> List[str]:
+        del result
+        return [
+            f"{name}: /metrics missing {family}"
+            for name, samples in sorted(self.scrapes.items())
+            for family in REQUIRED_METRICS
+            if metric_value(samples, family) is None
+        ]
 
-
-async def _scrape_all(spec: ClusterSpec) -> Dict[str, str]:
-    scrapes: Dict[str, str] = {}
-    for address in spec.all_addresses():
-        status, body = await http_get(
-            address.host, address.http_port, "/metrics", timeout=5.0
-        )
-        if status != 200:
-            raise RuntimeError(
-                f"{address.name}: /metrics returned {status}"
-            )
-        scrapes[address.name] = body
-    return scrapes
+    def render_lines(self, result: LoadgenResult) -> List[str]:
+        del result
+        return [f"scrapes: {len(self.scrapes)} endpoints ok"]
 
 
 async def run_smoke(
@@ -103,9 +69,15 @@ async def run_smoke(
     workload: str = "a",
     seed: int = 1,
     pipeline_depth: int = 4,
-) -> SmokeReport:
+) -> LoadgenResult:
     """Run the full smoke sequence; never leaves processes behind."""
-    from repro.net.spec import build_spec
+
+    async def drive(
+        generator: LoadGenerator, cluster: LocalCluster
+    ) -> SmokeReport:
+        del cluster
+        await generator.run_quorum_phases(write_quorums, duration)
+        return SmokeReport(scrapes=await generator.scrape())
 
     spec = build_spec(
         replicas=replicas,
@@ -113,72 +85,14 @@ async def run_smoke(
         write_quorum=write_quorums[0],
         seed=seed,
     )
-    cluster = LocalCluster(spec)
-    problems: List[str] = []
-    scrapes: Dict[str, str] = {}
-    try:
-        cluster.start()
-        await cluster.wait_healthy()
-        generator = LoadGenerator(
-            cluster.spec,
-            clients=clients,
-            workload=workload,
-            objects=32,
-            seed=seed,
-            pipeline_depth=pipeline_depth,
-        )
-        await generator.start()
-        try:
-            for position, write_quorum in enumerate(write_quorums):
-                if position > 0:
-                    await generator.reconfigure(write_quorum)
-                await generator.run_phase(
-                    name=f"W={write_quorum}",
-                    duration=duration,
-                    write_quorum=write_quorum,
-                )
-            scrapes = await _scrape_all(cluster.spec)
-            result = generator.result(None)
-        finally:
-            await generator.stop()
-        # Snapshot before shutdown: a worker that died mid-run must be
-        # reported as such, not folded into the graceful exit codes —
-        # and its resource usage is only readable while it is alive.
-        resources = {
-            worker.name: worker.resources() for worker in cluster.workers
-        }
-        dead_workers = [worker.name for worker in cluster.dead_workers()]
-        exit_codes = await cluster.shutdown()
-    finally:
-        cluster.kill()
-
-    # -- verdicts ------------------------------------------------------------
-    if result.total_failed:
-        problems.append(f"{result.total_failed} operations failed")
-    for phase in result.phases:
-        if phase.operations == 0:
-            problems.append(f"phase {phase.name} completed zero operations")
-    if result.consistency_violations:
-        problems.append(
-            f"{result.consistency_violations} consistency violations"
-        )
-    if result.linearizable is False:
-        problems.append("history is not linearizable")
-    for name, body in scrapes.items():
-        for family in REQUIRED_METRICS:
-            if family not in body:
-                problems.append(f"{name}: /metrics missing {family}")
-    for name in dead_workers:
-        problems.append(f"{name} died during the run")
-    for name, code in exit_codes.items():
-        if code != 0:
-            problems.append(f"{name} exited with code {code}")
-    return SmokeReport(
-        result=result,
-        scrapes=scrapes,
-        exit_codes=exit_codes,
-        problems=problems,
-        resources=resources,
+    return await run_live(
+        spec,
+        drive,
+        clients=clients,
+        workload=workload,
+        objects=32,
+        seed=seed,
+        pipeline_depth=pipeline_depth,
     )
 
 

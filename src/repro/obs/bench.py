@@ -399,15 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--codec",
-        action="store_true",
-        help=(
-            "run the codec microbenchmark (encode/decode ns/op per wire "
-            "message type) instead of the scenario matrix; writes "
-            "BENCH_codec.json unless --output is given"
-        ),
-    )
-    parser.add_argument(
         "--profile",
         default=None,
         metavar="PATH",
@@ -449,50 +440,32 @@ def main(argv: Optional[List[str]] = None) -> int:
         profiler = cProfile.Profile()
         profiler.enable()
 
-    if args.codec:
-        from repro.net.codec_bench import run_codec_bench
-
-        report = run_codec_bench()
-        output = (
-            args.output if args.output != "BENCH_obs.json"
-            else "BENCH_codec.json"
-        )
-    else:
-        report = run_bench(
-            quick=args.quick, seed=args.seed, trace_path=args.trace
-        )
-        output = args.output
+    report = run_bench(
+        quick=args.quick, seed=args.seed, trace_path=args.trace
+    )
 
     if profiler is not None:
         profiler.disable()
 
-    with open(output, "w", encoding="utf-8") as handle:
+    with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
-    if args.codec:
-        for name, cell in report["messages"].items():
-            print(
-                f"{name}: encode {cell['encode_ns']:.0f} ns/op, "
-                f"decode {cell['decode_ns']:.0f} ns/op "
-                f"({cell['frame_bytes']} B frame)"
-            )
-    else:
-        for name, cell in report["scenarios"].items():
-            sim = cell["sim"]
-            wall = cell["wall"]
-            print(
-                f"{name}: {sim['throughput_ops_per_sec']:.1f} ops/s sim, "
-                f"{wall['events_per_second']:.0f} kernel events/s wall"
-            )
+    for name, cell in report["scenarios"].items():
+        sim = cell["sim"]
+        wall = cell["wall"]
         print(
-            f"kernel total: {report['kernel']['events']} events in "
-            f"{report['kernel']['wall_seconds']}s wall "
-            f"({report['kernel']['events_per_second']:.0f}/s)"
+            f"{name}: {sim['throughput_ops_per_sec']:.1f} ops/s sim, "
+            f"{wall['events_per_second']:.0f} kernel events/s wall"
         )
-        if args.baseline:
-            print(check_baseline(report, args.baseline))
-    print(f"wrote {output}")
+    print(
+        f"kernel total: {report['kernel']['events']} events in "
+        f"{report['kernel']['wall_seconds']}s wall "
+        f"({report['kernel']['events_per_second']:.0f}/s)"
+    )
+    if args.baseline:
+        print(check_baseline(report, args.baseline))
+    print(f"wrote {args.output}")
     if profiler is not None:
         _write_profile(profiler, args.profile)
     return 0

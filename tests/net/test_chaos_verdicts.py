@@ -6,10 +6,19 @@ import random
 
 from repro.common.types import NodeId, OpType
 from repro.net.chaos import (
-    _metric_value,
+    READBACK,
+    ChaosReport,
     _ReadbackSource,
     count_lost_acked_writes,
+    replica_recoveries,
 )
+from repro.net.loadgen import (
+    LoadgenResult,
+    PhaseResult,
+    ShardOutcome,
+    metric_value,
+)
+from repro.obs.exporters import parse_prometheus_text
 from repro.sds.client import OperationRecord
 
 CLIENT = NodeId.client(0)
@@ -106,16 +115,115 @@ class TestMetricValue:
         'qopt_wal_fsyncs_total{node="storage-2"} 37.0\n'
     )
 
+    def samples(self, text=SCRAPE):
+        return parse_prometheus_text(text)
+
     def test_finds_family_value(self) -> None:
         assert (
-            _metric_value(self.SCRAPE, "qopt_replica_recoveries_total")
+            metric_value(self.samples(), "qopt_replica_recoveries_total")
             == 1.0
         )
-        assert _metric_value(self.SCRAPE, "qopt_wal_fsyncs_total") == 37.0
+        assert metric_value(self.samples(), "qopt_wal_fsyncs_total") == 37.0
 
     def test_missing_family_is_none(self) -> None:
-        assert _metric_value(self.SCRAPE, "qopt_nope") is None
-        assert _metric_value("", "qopt_nope") is None
+        assert metric_value(self.samples(), "qopt_nope") is None
+        assert metric_value(self.samples(""), "qopt_nope") is None
+
+    def test_recoveries_lookup_picks_the_replicas_own_series(self) -> None:
+        # Several labelled series, a prefix-sharing family listed after
+        # the real one, and a node name that prefixes another: only the
+        # series labelled with the restarted replica's name counts.
+        text = (
+            'qopt_replica_recoveries_total{node="storage-2",shard="shard-0"}'
+            " 1\n"
+            'qopt_replica_recoveries_total{node="storage-20",shard="shard-0"}'
+            " 0\n"
+            'qopt_replica_recoveries_total{node="storage-3",shard="shard-0"}'
+            " 4\n"
+            'qopt_replica_recoveries_total_seconds{node="storage-2"} 9.5\n'
+        )
+        scrape = self.samples(text)
+        recoveries = replica_recoveries(
+            {"storage-2": scrape, "storage-3": scrape, "storage-20": scrape},
+            ["storage-3", "storage-2", "storage-20", "storage-4"],
+        )
+        assert recoveries == {
+            "storage-2": 1.0,
+            "storage-20": 0.0,
+            "storage-3": 4.0,
+            "storage-4": None,
+        }
+
+
+def chaos_phase(name: str, failed: int) -> PhaseResult:
+    return PhaseResult(
+        name=name,
+        write_quorum=2,
+        duration=1.0,
+        operations=100,
+        ops_per_sec=100.0,
+        failed=failed,
+        retries=failed,
+        latencies={},
+    )
+
+
+class TestChaosVerdicts:
+    def make_result(
+        self, load_failed=0, readback_failed=0, **report
+    ) -> LoadgenResult:
+        defaults = dict(
+            cycles_planned=0,
+            cycles=[],
+            nemesis_problems=[],
+            lost_acked_writes=0,
+            lost_details=[],
+            transport_resets=2,
+            restarted={"storage-1": 1},
+            recoveries={"storage-1": 1.0},
+        )
+        defaults.update(report)
+        return LoadgenResult(
+            phases=[
+                chaos_phase("W=4", load_failed),
+                chaos_phase("W=2", load_failed),
+                chaos_phase(READBACK, readback_failed),
+            ],
+            reconfig_seconds=0.1,
+            shard_outcomes=[ShardOutcome("shard-0", 300, 0, True)],
+            checks=ChaosReport(**defaults),
+        )
+
+    def chaos_problems(self, **kwargs):
+        return self.make_result(**kwargs).problems()
+
+    def test_load_phase_failures_are_tolerated(self) -> None:
+        assert self.chaos_problems(load_failed=7) == []
+
+    def test_any_readback_failure_fails(self) -> None:
+        assert self.chaos_problems(load_failed=7, readback_failed=1) == [
+            f"phase {READBACK}: 1 client operations failed"
+        ]
+
+    def test_lost_writes_and_missing_recoveries_fail(self) -> None:
+        problems = self.chaos_problems(
+            lost_acked_writes=2, recoveries={"storage-1": None}
+        )
+        assert problems[0] == "2 acknowledged writes lost"
+        assert "storage-1: restarted 1x" in problems[1]
+
+    def test_cycles_that_never_ran_fail(self) -> None:
+        assert self.chaos_problems(cycles_planned=1) == [
+            "only 0 of 1 kill cycles ran"
+        ]
+
+    def test_report_fields(self) -> None:
+        payload = self.make_result(load_failed=7).as_dict()
+        assert payload["ok"] is True
+        assert payload["transport_resets"] == 2
+        assert payload["recoveries_metric"] == {"storage-1": 1.0}
+        assert payload["ops_dip_ratio"] == 1.0
+        assert self.make_result().render().startswith("live-chaos:")
 
 
 class TestReadbackSource:

@@ -58,9 +58,10 @@ def test_live_cluster_reconfigures_and_stays_linearizable() -> None:
             assert second.operations > 0
             assert second.failed == 0
 
-            violations, linearizable = generator.check_history()
-            assert violations == 0
-            assert linearizable is True
+            result = generator.result()
+            assert result.consistency_violations == 0
+            assert result.linearizable is True
+            assert result.reconfig_seconds == took
 
             manager = spec.manager
             status, body = await http_get(
@@ -200,8 +201,7 @@ def test_wal_backed_replica_crashes_and_rejoins_quarantined(
                 "W=4-after", duration=0.5, write_quorum=4
             )
             assert second.operations > 0
-            violations, _linearizable = generator.check_history()
-            assert violations == 0
+            assert generator.result().consistency_violations == 0
         finally:
             await generator.stop()
             for runtime in runtimes.values():

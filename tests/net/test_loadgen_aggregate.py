@@ -1,4 +1,4 @@
-"""Aggregate loadgen reporting: histograms merge, percentiles don't.
+"""The one run report: merged histograms and every harness's verdicts.
 
 The pinning test encodes the exact failure the old reporting had: a fast
 phase and a slow phase whose *averaged* p99s land nowhere near the p99
@@ -17,6 +17,7 @@ from repro.net.loadgen import (
     merged_latency_summary,
 )
 from repro.net.scaleout import ScaleoutReport, available_cores
+from repro.net.smoke import REQUIRED_METRICS, SmokeReport
 from repro.obs.metrics import Histogram
 
 
@@ -32,6 +33,7 @@ SLOW = [0.5] * 20              # a short, degraded phase
 
 
 def phase(name: str, samples, **kwargs) -> PhaseResult:
+    snapshot = hist_of(samples).snapshot()
     return PhaseResult(
         name=name,
         write_quorum=3,
@@ -40,8 +42,8 @@ def phase(name: str, samples, **kwargs) -> PhaseResult:
         ops_per_sec=float(len(samples)),
         failed=0,
         retries=0,
-        latencies={"read": {"count": len(samples)}},
-        snapshots={"read": hist_of(samples).snapshot()},
+        latencies={"read": snapshot.as_dict(), "write": {"count": 0}},
+        snapshots={"read": snapshot},
         **kwargs,
     )
 
@@ -88,14 +90,20 @@ class TestMergedLatencySummary:
         assert live["count"] == len(FAST)
 
 
+def outcomes(*verdicts) -> list:
+    """One :class:`ShardOutcome` per ``(records, violations, linearizable)``."""
+    return [
+        ShardOutcome(f"shard-{index}", records, violations, linearizable)
+        for index, (records, violations, linearizable) in enumerate(verdicts)
+    ]
+
+
 class TestLoadgenResultAggregate:
     def make_result(self, **kwargs) -> LoadgenResult:
         defaults = dict(
             phases=[phase("fast", FAST), phase("slow", SLOW)],
             reconfig_seconds=None,
-            history_records=1020,
-            consistency_violations=0,
-            linearizable=True,
+            shard_outcomes=outcomes((1020, 0, True)),
         )
         defaults.update(kwargs)
         return LoadgenResult(**defaults)
@@ -114,35 +122,91 @@ class TestLoadgenResultAggregate:
 
     def test_as_dict_carries_the_aggregate_and_shard_verdicts(self) -> None:
         result = self.make_result(
-            shard_outcomes=[
-                ShardOutcome("shard-0", 600, 0, True),
-                ShardOutcome("shard-1", 420, 0, True),
-            ]
+            shard_outcomes=outcomes((600, 0, True), (420, 0, True))
         )
         payload = result.as_dict()
         assert payload["ok"] is True
         assert payload["aggregate_latency_s"]["read"]["count"] == 1020
-        assert [s["shard"] for s in payload["shards"]] == [
+        assert payload["history_records"] == 1020
+        assert [s["shard"] for s in payload["shard_outcomes"]] == [
             "shard-0", "shard-1",
         ]
 
+    def test_unsharded_report_keeps_its_shape(self) -> None:
+        # One implicit shard-0: the top-level verdict fields describe it
+        # and no per-shard list is written.
+        payload = self.make_result().as_dict()
+        assert "shard_outcomes" not in payload
+        assert payload["linearizable"] is True
+        assert payload["consistency_violations"] == 0
+
     def test_per_shard_failures_are_problems(self) -> None:
         result = self.make_result(
-            shard_outcomes=[
-                ShardOutcome("shard-0", 600, 2, False),
-                ShardOutcome("shard-1", 420, 0, None),
-            ]
+            shard_outcomes=outcomes((600, 2, False), (420, 0, None))
         )
         problems = result.problems()
         assert any("shard-0: 2 consistency" in p for p in problems)
         assert any("shard-0: history is not" in p for p in problems)
         assert any("shard-1: linearizability unverified" in p
                    for p in problems)
+        assert result.consistency_violations == 2
+        assert result.linearizable is False
         assert result.as_dict()["ok"] is False
+
+    def test_failed_operations_are_problems(self) -> None:
+        slow = phase("slow", SLOW)
+        slow.failed = 3
+        result = self.make_result(phases=[phase("fast", FAST), slow])
+        assert result.problems() == [
+            "phase slow: 3 client operations failed"
+        ]
+
+class TestSmokeVerdicts:
+    SAMPLES = {
+        f'{family}{{node="proxy-0"}}': 1.0 for family in REQUIRED_METRICS
+    }
+
+    def make_result(self, linearizable=True, scrapes=None) -> LoadgenResult:
+        return LoadgenResult(
+            phases=[phase("W=4", FAST), phase("W=2", FAST)],
+            reconfig_seconds=0.1,
+            shard_outcomes=outcomes((2000, 0, linearizable)),
+            checks=SmokeReport(
+                scrapes=scrapes if scrapes is not None
+                else {"proxy-0": dict(self.SAMPLES)}
+            ),
+        )
+
+    def test_clean_run_passes(self) -> None:
+        result = self.make_result()
+        assert result.problems() == []
+        text = result.render()
+        assert text.startswith("live-smoke:")
+        assert "scrapes: 1 endpoints ok" in text
+        assert "all checks passed" in text
+
+    def test_unverified_history_fails_the_smoke_run(self) -> None:
+        # The search budget ran out: "not refuted" is not "verified".
+        result = self.make_result(linearizable=None)
+        assert any(
+            "linearizability unverified" in p for p in result.problems()
+        )
+
+    def test_missing_metric_family_fails(self) -> None:
+        family = REQUIRED_METRICS[-1]
+        samples = {
+            series: value
+            for series, value in self.SAMPLES.items()
+            if not series.startswith(family)
+        }
+        # A family that merely shares the prefix does not count.
+        samples[f'{family}_extra{{node="proxy-0"}}'] = 1.0
+        result = self.make_result(scrapes={"proxy-0": samples})
+        assert result.problems() == [f"proxy-0: /metrics missing {family}"]
 
 
 class TestScaleoutReport:
-    def fleet(self) -> LoadgenResult:
+    def fleet(self, **kwargs) -> LoadgenResult:
         phases = [
             phase(
                 name,
@@ -151,67 +215,98 @@ class TestScaleoutReport:
             )
             for name in ("pre-reconfig", "reconfig-storm", "post-reconfig")
         ]
-        return LoadgenResult(
+        defaults = dict(
             phases=phases,
             reconfig_seconds=0.4,
-            history_records=3060,
-            consistency_violations=0,
-            linearizable=True,
-            shard_outcomes=[
-                ShardOutcome("shard-0", 1500, 0, True),
-                ShardOutcome("shard-1", 1560, 0, True),
-            ],
+            shard_outcomes=outcomes((1500, 0, True), (1560, 0, True)),
+        )
+        defaults.update(kwargs)
+        return LoadgenResult(**defaults)
+
+    def single_ring(self, samples=FAST, **kwargs) -> LoadgenResult:
+        return LoadgenResult(
+            phases=[phase("single-ring", samples)],
+            reconfig_seconds=None,
+            shard_outcomes=outcomes((len(samples), 0, True)),
+            **kwargs,
         )
 
     def make_report(self, **kwargs) -> ScaleoutReport:
         defaults = dict(
             shards=2,
             cores=available_cores(),
-            fleet=self.fleet(),
-            single_ring=phase("single-ring", FAST),
+            single_ring=self.single_ring(),
             reconfig_seconds={"shard-0": 0.2, "shard-1": 0.2},
             route_refreshes=2,
         )
         defaults.update(kwargs)
         return ScaleoutReport(**defaults)
 
+    def make_result(self, fleet=None, **kwargs) -> LoadgenResult:
+        result = fleet if fleet is not None else self.fleet()
+        result.checks = self.make_report(**kwargs)
+        return result
+
     def test_speedup_and_expected_scaling(self) -> None:
         report = self.make_report(cores=8)
-        assert report.fleet_ops_per_sec == 1000.0
-        assert report.speedup == 1.0
+        assert report.speedup(self.fleet()) == 1.0
         assert report.expected_scaling == 2
         assert self.make_report(cores=1).expected_scaling == 1
-        assert self.make_report(single_ring=None).speedup is None
+        idle = self.make_report(single_ring=self.single_ring(samples=[]))
+        assert idle.speedup(self.fleet()) is None
 
     def test_ok_report_has_no_problems(self) -> None:
-        report = self.make_report()
-        assert report.problems() == []
-        payload = report.as_dict()
+        result = self.make_result()
+        assert result.problems() == []
+        payload = result.as_dict()
         assert payload["ok"] is True
         assert payload["shards"] == 2
         assert [s["shard"] for s in payload["shard_outcomes"]] == [
             "shard-0", "shard-1",
         ]
         assert payload["route_refreshes"] == 2
+        assert payload["reconfig_seconds"] == 0.4
+        assert payload["single_ring"]["name"] == "single-ring"
         assert payload["aggregate_latency_s"]["read"]["count"] == 3000
         assert "speedup" in payload and "cores" in payload
 
     def test_incomplete_storm_is_a_problem(self) -> None:
-        report = self.make_report(reconfig_seconds={"shard-0": 0.2})
-        assert any("storm" in p for p in report.problems())
+        result = self.make_result(reconfig_seconds={"shard-0": 0.2})
+        assert any("storm" in p for p in result.problems())
 
     def test_starved_shard_is_a_problem(self) -> None:
         fleet = self.fleet()
         fleet.phases[1].shard_operations["shard-1"] = 0
-        report = self.make_report(fleet=fleet)
+        result = self.make_result(fleet=fleet)
         assert any(
             "shard shard-1 completed zero operations" in p
-            for p in report.problems()
+            for p in result.problems()
         )
-        assert report.as_dict()["ok"] is False
+        assert result.as_dict()["ok"] is False
+
+    def test_unclean_worker_exit_fails_the_run(self) -> None:
+        # A fleet worker that crashed mid-run, or exited non-zero at
+        # shutdown, fails the scale-out run ...
+        result = self.make_result(
+            fleet=self.fleet(
+                exit_codes={"storage-3": 1}, dead_workers=["proxy-1"]
+            )
+        )
+        assert "storage-3 exited with code 1" in result.problems()
+        assert "proxy-1 died during the run" in result.problems()
+        assert "exits: [('storage-3', 1)]" in result.render()
+        # ... and so does one of the single-ring reference.
+        result = self.make_result(
+            single_ring=self.single_ring(exit_codes={"storage-0": -11})
+        )
+        assert result.problems() == [
+            "single-ring: storage-0 exited with code -11"
+        ]
+        assert result.as_dict()["ok"] is False
 
     def test_render_mentions_each_shard(self) -> None:
-        text = self.make_report().render()
+        text = self.make_result().render()
+        assert text.startswith("scaleout:")
         assert "shard-0" in text and "shard-1" in text
         assert "speedup" in text
 
