@@ -12,6 +12,7 @@ Run with::
 
 from repro import ClusterConfig, QuorumConfig, SwiftCluster, attach_qopt
 from repro.common.config import AutonomicConfig
+from repro.sds.quorum import QuorumSystem
 from repro.workloads import MixedWorkload, WorkloadSpec
 from repro.workloads.generator import MixtureComponent
 
@@ -56,11 +57,9 @@ def build_workload() -> MixedWorkload:
     )
 
 
-def run_static(write_quorum: int) -> float:
+def run_static(quorum: QuorumConfig) -> float:
     config = ClusterConfig(
-        num_proxies=2,
-        clients_per_proxy=5,
-        initial_quorum=QuorumConfig.from_write(write_quorum, 5),
+        num_proxies=2, clients_per_proxy=5, initial_quorum=quorum
     )
     cluster = SwiftCluster(config, seed=5)
     cluster.add_clients(build_workload())
@@ -86,9 +85,13 @@ def run_qopt() -> tuple[float, dict]:
 
 def main() -> None:
     print("measuring every global static configuration...")
-    static = {w: run_static(w) for w in range(1, 6)}
-    for write, throughput in static.items():
-        print(f"  static R={6 - write},W={write}: {throughput:7.0f} ops/s")
+    degree = ClusterConfig().replication_degree
+    static = {
+        quorum: run_static(quorum)
+        for quorum in QuorumSystem(degree).minimal_configs()
+    }
+    for quorum, throughput in static.items():
+        print(f"  static {quorum}: {throughput:7.0f} ops/s")
     best_static = max(static.values())
 
     print("\nrunning Q-OPT with per-object tuning...")

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from repro.common.config import ClusterConfig
 from repro.common.errors import ConfigurationError
 from repro.common.types import QuorumConfig
+from repro.sds.quorum import QuorumSystem
 
 #: Wire overhead per message, kept consistent with the simulator.
 _HEADER_BYTES = 256
@@ -94,6 +95,7 @@ class MvaThroughputModel:
 
     def __init__(self, config: ClusterConfig | None = None) -> None:
         self.config = (config or ClusterConfig()).validate()
+        self._system = QuorumSystem(self.config.replication_degree)
 
     # -- public API ---------------------------------------------------------
 
@@ -105,7 +107,7 @@ class MvaThroughputModel:
     ) -> float:
         """Predicted successful operations per second."""
         point.validate()
-        quorum.validate_strict(self.config.replication_degree)
+        self._system.require_strict(quorum)
         total_clients = (
             clients if clients is not None else self.config.total_clients
         )
@@ -127,7 +129,7 @@ class MvaThroughputModel:
         this is the companion prediction for latency-KPI tuning.
         """
         point.validate()
-        quorum.validate_strict(self.config.replication_degree)
+        self._system.require_strict(quorum)
         total_clients = (
             clients if clients is not None else self.config.total_clients
         )
@@ -138,32 +140,20 @@ class MvaThroughputModel:
         return response
 
     def best_write_quorum(
-        self,
-        point: WorkloadPoint,
-        clients: int | None = None,
-        write_quorums: range | None = None,
+        self, point: WorkloadPoint, clients: int | None = None
     ) -> int:
-        """argmax over W of predicted throughput (R derived as N-W+1)."""
-        degree = self.config.replication_degree
-        candidates = write_quorums or range(1, degree + 1)
-        best_w, best_x = 0, -1.0
-        for write in candidates:
-            quorum = QuorumConfig.from_write(write, degree)
-            x = self.throughput(point, quorum, clients=clients)
-            if x > best_x:
-                best_w, best_x = write, x
-        return best_w
+        """The W of :meth:`config_sweep`'s best throughput (smallest on ties)."""
+        sweep = self.config_sweep(point, clients=clients)
+        return max(sweep, key=sweep.__getitem__)
 
     def config_sweep(
         self, point: WorkloadPoint, clients: int | None = None
     ) -> dict[int, float]:
-        """Predicted throughput for every minimal strict configuration."""
-        degree = self.config.replication_degree
+        """Predicted throughput for every minimal strict configuration,
+        keyed by W (``QuorumSystem.minimal_configs``)."""
         return {
-            write: self.throughput(
-                point, QuorumConfig.from_write(write, degree), clients=clients
-            )
-            for write in range(1, degree + 1)
+            quorum.write: self.throughput(point, quorum, clients=clients)
+            for quorum in self._system.minimal_configs()
         }
 
     # -- network construction --------------------------------------------------

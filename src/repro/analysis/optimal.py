@@ -15,6 +15,7 @@ from repro.common.config import ClusterConfig
 from repro.common.errors import ExperimentError
 from repro.common.types import QuorumConfig
 from repro.sds.cluster import SwiftCluster
+from repro.sds.quorum import QuorumSystem
 from repro.workloads.generator import SyntheticWorkload, WorkloadSpec
 
 
@@ -109,6 +110,6 @@ def sweep_configurations(
             warmup=warmup,
             seed=seed,
         ).throughput
-        for write in range(1, base.replication_degree + 1)
+        for write in QuorumSystem(base.replication_degree).admissible_writes()
     }
     return ConfigSweepResult(spec=spec, throughputs=throughputs)

@@ -135,7 +135,6 @@ class AutonomicManager(Node):
         oracle: NodeId,
         detector: FailureDetector,
         config: AutonomicConfig,
-        replication_degree: int,
         initial_default: QuorumConfig,
         suspect_poll_interval: float = 0.05,
         retransmit_interval: float = 0.5,
@@ -164,8 +163,8 @@ class AutonomicManager(Node):
             raise ConfigurationError("AM needs at least one RM target")
         self._oracle = oracle
         self._detector = detector
-        self.config = config.validate(replication_degree)
-        self._replication_degree = replication_degree
+        # Validated by the attach_* function that builds this manager.
+        self.config = config
         self._poll = suspect_poll_interval
         # Requests whose reply never arrives (lost message, lost reply)
         # are re-sent at this cadence; every peer handles duplicates.

@@ -91,7 +91,6 @@ def attach_qopt(
         oracle=oracle_node.node_id,
         detector=cluster.detector,
         config=config,
-        replication_degree=cluster.config.replication_degree,
         initial_default=cluster.config.initial_quorum,
         obs=getattr(cluster, "obs", None),
     )

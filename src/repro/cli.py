@@ -108,6 +108,7 @@ def _cmd_per_object(args: argparse.Namespace) -> str:
 def _cmd_predict(args: argparse.Namespace) -> str:
     """One MVA sweep: throughput of every configuration for a workload."""
     from repro.analysis.mva import MvaThroughputModel, WorkloadPoint
+    from repro.common.types import QuorumConfig
     from repro.harness.tables import render_table
 
     model = MvaThroughputModel(ClusterConfig())
@@ -119,7 +120,7 @@ def _cmd_predict(args: argparse.Namespace) -> str:
     degree = model.config.replication_degree
     rows = [
         (
-            f"R={degree - w + 1},W={w}",
+            str(QuorumConfig.from_write(w, degree)),
             f"{x:.0f}",
             "<- optimal" if w == best else "",
         )

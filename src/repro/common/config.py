@@ -9,9 +9,13 @@ writes are disk-bound while reads are mostly served from cache.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 from repro.common.errors import ConfigurationError
 from repro.common.types import QuorumConfig
+
+if TYPE_CHECKING:
+    from repro.sds.quorum import QuorumSystem
 
 
 @dataclass(frozen=True)
@@ -261,7 +265,7 @@ class ClusterConfig:
                 f"replication degree {self.replication_degree} exceeds "
                 f"storage node count {self.num_storage_nodes}"
             )
-        self.initial_quorum.validate_strict(self.replication_degree)
+        _system(self.replication_degree).require_strict(self.initial_quorum)
         if self.versioning not in ("timestamp", "vector"):
             raise ConfigurationError(
                 "versioning must be 'timestamp' or 'vector', got "
@@ -337,13 +341,9 @@ class AutonomicConfig:
             raise ConfigurationError("theta must be >= 0")
         if self.quarantine < 0:
             raise ConfigurationError("quarantine must be >= 0")
-        upper = self.max_write_quorum or replication_degree
-        if not 1 <= self.min_write_quorum <= upper <= replication_degree:
-            raise ConfigurationError(
-                "write quorum bounds must satisfy "
-                f"1 <= min ({self.min_write_quorum}) <= max ({upper}) "
-                f"<= N ({replication_degree})"
-            )
+        _system(replication_degree).admissible_writes(
+            self.min_write_quorum, self.max_write_quorum
+        )
         if self.max_rounds < 1:
             raise ConfigurationError("max_rounds must be >= 1")
         if self.kpi not in ("throughput", "latency"):
@@ -354,7 +354,10 @@ class AutonomicConfig:
             raise ConfigurationError("kpi_filter_window must be >= 1")
         return self
 
-    def write_quorum_range(self, replication_degree: int) -> range:
-        """Admissible write-quorum sizes under the user constraints."""
-        upper = self.max_write_quorum or replication_degree
-        return range(self.min_write_quorum, upper + 1)
+
+def _system(replication_degree: int) -> QuorumSystem:
+    # Imported on use: ``repro.sds.quorum`` imports ``repro.common``,
+    # whose package init imports this module.
+    from repro.sds.quorum import QuorumSystem
+
+    return QuorumSystem(replication_degree)

@@ -63,11 +63,11 @@ class NodeId:
 
 @dataclass(frozen=True, order=True)
 class QuorumConfig:
-    """A read/write quorum size pair.
+    """A read/write quorum size pair, as it travels on the wire.
 
-    A configuration is *strict* for replication degree ``n`` when
-    ``read + write > n``: any read quorum then intersects any write quorum,
-    which is the property strong consistency rests on (Section 2.1).
+    Whether a pair is *strict* — every read quorum meets every write
+    quorum, the property strong consistency rests on (Section 2.1) — is
+    answered by :class:`repro.sds.quorum.QuorumSystem`.
     """
 
     read: int
@@ -82,35 +82,6 @@ class QuorumConfig:
     def __str__(self) -> str:
         return f"R={self.read},W={self.write}"
 
-    def is_strict(self, replication_degree: int) -> bool:
-        """Return whether this configuration guarantees strong consistency."""
-        return self.read + self.write > replication_degree
-
-    def validate_strict(self, replication_degree: int) -> "QuorumConfig":
-        """Raise :class:`ConfigurationError` unless strict; return self."""
-        if not self.is_strict(replication_degree):
-            raise ConfigurationError(
-                f"{self} is not strict for N={replication_degree}: "
-                f"R + W must exceed N"
-            )
-        if max(self.read, self.write) > replication_degree:
-            raise ConfigurationError(
-                f"{self} exceeds replication degree N={replication_degree}"
-            )
-        return self
-
-    def transition_with(self, other: "QuorumConfig") -> "QuorumConfig":
-        """Transition quorum used while reconfiguring between two configs.
-
-        Sized as the element-wise maximum so that its read (write) quorum
-        intersects the write (read) quorum of *both* the old and the new
-        configuration (Section 5.2, Algorithm 3 line 13).
-        """
-        return QuorumConfig(
-            read=max(self.read, other.read),
-            write=max(self.write, other.write),
-        )
-
     @staticmethod
     def from_write(write: int, replication_degree: int) -> "QuorumConfig":
         """Derive the minimal strict configuration for a write-quorum size.
@@ -123,14 +94,6 @@ class QuorumConfig:
                 f"write quorum {write} outside [1, {replication_degree}]"
             )
         return QuorumConfig(read=replication_degree - write + 1, write=write)
-
-    @staticmethod
-    def all_strict_minimal(replication_degree: int) -> list["QuorumConfig"]:
-        """All minimal strict configurations ``(N-W+1, W)`` for W = 1..N."""
-        return [
-            QuorumConfig.from_write(w, replication_degree)
-            for w in range(1, replication_degree + 1)
-        ]
 
 
 @dataclass(frozen=True, order=True)

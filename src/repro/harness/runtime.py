@@ -32,6 +32,7 @@ from repro.oracle.service import QuorumOracle
 from repro.reconfig.blocking import attach_blocking_manager
 from repro.reconfig.manager import attach_reconfiguration_manager
 from repro.sds.cluster import SwiftCluster
+from repro.sds.quorum import QuorumSystem
 from repro.workloads import ycsb
 from repro.workloads.generator import (
     MixedWorkload,
@@ -464,9 +465,7 @@ def per_object_vs_global(
         )
 
     throughputs: dict[str, float] = {}
-    degree = base.replication_degree
-    for write in range(1, degree + 1):
-        quorum = QuorumConfig.from_write(write, degree)
+    for quorum in QuorumSystem(base.replication_degree).minimal_configs():
         cluster = SwiftCluster(base.with_quorum(quorum), seed=seed)
         cluster.add_clients(build_workload())
         cluster.run(static_duration)

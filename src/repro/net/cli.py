@@ -29,7 +29,7 @@ def _spec_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--proxies", type=int, default=1)
     parser.add_argument(
         "--write-quorum", type=int, default=3,
-        help="initial global write quorum W (R = N - W + 1)",
+        help="initial global write quorum W (R from QuorumConfig.from_write)",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(

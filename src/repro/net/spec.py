@@ -161,7 +161,7 @@ class ClusterSpec:
                     "extra managers require a shard map: a single-shard "
                     "spec has exactly one reconfiguration manager"
                 )
-            self.initial_quorum().validate_strict(self.replication_degree)
+            self.initial_quorum()  # raises unless 1 <= W <= N
         else:
             self._validate_shard_map()
         self.storage.validate()
@@ -237,7 +237,7 @@ class ClusterSpec:
                     f"{shard.replication_degree} exceeds its "
                     f"{len(shard.replicas)} replicas"
                 )
-            shard.initial_quorum().validate_strict(shard.replication_degree)
+            shard.initial_quorum()  # raises unless 1 <= W <= N
         unassigned_replicas = sorted(replica_names - set(assigned_replicas))
         if unassigned_replicas:
             raise ConfigurationError(

@@ -6,7 +6,9 @@ Two layers:
   the user's fault-tolerance constraints on the write-quorum range
   (Section 3: the optimizer respects "user defined constraints on the
   minimum/maximum sizes of the read and write quorums").  The prototype
-  follows the paper in predicting only W and deriving R = N - W + 1.
+  follows the paper in predicting only W; ``QuorumConfig.from_write``
+  derives R, and :class:`~repro.sds.quorum.QuorumSystem` owns the
+  admissible W range.
 * :class:`OracleNode` — the message-level wrapper spoken to by the
   Autonomic Manager (NEWSTATS -> NEWQUORUMS, TAILSTATS -> TAILQUORUM).
 """
@@ -17,7 +19,7 @@ from typing import Optional
 
 from repro.analysis.mva import MvaThroughputModel
 from repro.common.config import ClusterConfig
-from repro.common.errors import ConfigurationError, NotFittedError
+from repro.common.errors import NotFittedError
 from repro.common.types import NodeId, NodeKind, ObjectId, QuorumConfig
 from repro.oracle.dataset import TrainingSet, generate_training_set
 from repro.oracle.decision_tree import DecisionTreeClassifier
@@ -28,6 +30,7 @@ from repro.sds.messages import (
     TailQuorum,
     TailStats,
 )
+from repro.sds.quorum import QuorumSystem
 from repro.sim.kernel import Simulator
 from repro.sim.network import Envelope, Network
 from repro.sim.node import Node
@@ -46,17 +49,11 @@ class QuorumOracle:
         min_write_quorum: int = 1,
         max_write_quorum: Optional[int] = None,
     ) -> None:
-        if replication_degree < 1:
-            raise ConfigurationError("replication_degree must be >= 1")
-        upper = max_write_quorum or replication_degree
-        if not 1 <= min_write_quorum <= upper <= replication_degree:
-            raise ConfigurationError(
-                "write-quorum bounds must satisfy "
-                f"1 <= {min_write_quorum} <= {upper} <= {replication_degree}"
-            )
-        self.replication_degree = replication_degree
-        self.min_write_quorum = min_write_quorum
-        self.max_write_quorum = upper
+        self.system = QuorumSystem(replication_degree)
+        #: The W sizes predictions are clamped to.
+        self.write_quorums = self.system.admissible_writes(
+            min_write_quorum, max_write_quorum
+        )
         self.model = model or DecisionTreeClassifier()
         #: Number of predictions served (observability).
         self.predictions = 0
@@ -99,14 +96,14 @@ class QuorumOracle:
             raise NotFittedError("QuorumOracle's model is not trained")
         self.predictions += 1
         raw = self.model.predict_one(feature_vector(write_ratio, mean_size))
-        return max(self.min_write_quorum, min(self.max_write_quorum, int(raw)))
+        return self.system.clamp_write(int(raw), self.write_quorums)
 
     def predict_config(
         self, write_ratio: float, mean_size: float
     ) -> QuorumConfig:
-        """Best (R, W): the paper derives R = N - W + 1 (Section 4)."""
+        """Best (R, W): R follows from W by ``QuorumConfig.from_write``."""
         write = self.predict_write_quorum(write_ratio, mean_size)
-        return QuorumConfig.from_write(write, self.replication_degree)
+        return QuorumConfig.from_write(write, self.system.n)
 
 
 class OracleNode(Node):
@@ -148,8 +145,7 @@ class OracleNode(Node):
         stats = request.stats
         if stats.accesses == 0:
             quorum = QuorumConfig.from_write(
-                max(self.oracle.min_write_quorum, 1),
-                self.oracle.replication_degree,
+                self.oracle.write_quorums[0], self.oracle.system.n
             )
         else:
             quorum = self.oracle.predict_config(

@@ -8,16 +8,16 @@ Four analyzer families over the ``repro`` source tree:
   arguments are errors in protocol code.
 * **Quorum-safety analyzer** (QS001-QS003): every ``QuorumConfig`` /
   ``QuorumPlan`` that can reach the data plane must pass through
-  ``validate_strict`` (R + W > N, max(R, W) <= N), and statically
-  decidable violations are reported at lint time.
+  ``QuorumSystem.require_strict*``, and literal configurations the
+  system rejects are reported at lint time.
 * **Concurrency analyzer** (QC001-QC005): CFG-based interleaving checks
   across suspension points (``await`` / simulator ``yield``) —
   check-then-act races, shared-container iteration, stale
   epoch/cfg/plan/ring and lease captures, and deadlines armed inside
   ``any_of`` that nothing cancels.
 * **Protocol analyzer** (QP001-QP002): wire-registry exhaustiveness and
-  append-only ordering, plus symbolic ``R + W > N`` verification at
-  quorum-arithmetic sites.
+  append-only ordering, plus a ban on quorum-size arithmetic outside
+  the quorum system.
 
 Run via ``python -m repro.qlint`` or through the bundled pytest plugin
 (``repro.qlint.pytest_plugin``), which tier-1 test runs load.  See

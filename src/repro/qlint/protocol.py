@@ -11,23 +11,19 @@ QP001  wire-registry-exhaustiveness
     registry must start with the golden name sequence below — inserting,
     removing, or reordering entries is a silent wire-format break.
 
-QP002  symbolic-strict-quorum-arithmetic
-    ``QuorumConfig(read=..., write=...)`` construction sites are checked
-    symbolically: read/write expressions are reduced to linear forms over
-    opaque variables (with interval slack for floor division), the
-    replication degree ``N`` is identified by variable name, and
-    ``R + W > N`` is evaluated.  Only *provable* violations are reported
-    (e.g. ``read=n - w``, or the classic ``n//2``/``n//2`` split);
-    provably-strict and undecidable sites stay silent.  This is the
-    machine check that survives the generalized ``QuorumSystem``
-    refactor, where quorum sizes stop being the single ``R = N-W+1``
-    rule.
+QP002  quorum-arithmetic-outside-the-quorum-system
+    A ``QuorumConfig(...)`` whose read or write argument contains
+    arithmetic — a binary operation, or a ``min``/``max`` call — outside
+    ``sds/quorum.py`` and ``common/types.py``.  Quorum sizes are derived
+    in one place, ``QuorumConfig.from_write`` and the ``QuorumSystem``
+    methods; arithmetic anywhere else is a second copy of the rule that
+    can drift from it — ``n // 2``, ``n - w``, and even a correct
+    ``n - w + 1``.
 """
 
 from __future__ import annotations
 
 import ast
-from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.qlint.astutils import (
@@ -90,146 +86,20 @@ WIRE_REGISTRY_GOLDEN: Tuple[str, ...] = (
     "LeaseNack",
 )
 
-#: Variable names (final dotted segment) accepted as the replication
-#: degree ``N`` in QP002.
-_N_NAMES = frozenset(
-    {
-        "n",
-        "degree",
-        "replication_degree",
-        "replicas",
-        "num_replicas",
-        "n_replicas",
-        "nodes",
-        "num_nodes",
-    }
-)
+#: The modules that define quorum sizes; QP002 exempts them.
+_QUORUM_MODULES = ("sds/quorum.py", "common/types.py")
 
 
-# ---------------------------------------------------------------------------
-# QP002: linear symbolic arithmetic with floor-division slack
-# ---------------------------------------------------------------------------
-
-
-class _Linear:
-    """``sum(coeff * var) + const + slack`` with ``slack in [lo, hi]``.
-
-    Floor division by a positive literal ``k`` keeps the form linear at
-    the cost of widening slack: ``e // k`` lies in
-    ``[e/k - (k-1)/k, e/k]``.
-    """
-
-    def __init__(
-        self,
-        coeffs: Optional[Dict[str, Fraction]] = None,
-        const: Fraction = Fraction(0),
-        lo: Fraction = Fraction(0),
-        hi: Fraction = Fraction(0),
-    ) -> None:
-        self.coeffs = {k: v for k, v in (coeffs or {}).items() if v != 0}
-        self.const = const
-        self.lo = lo
-        self.hi = hi
-
-    @staticmethod
-    def var(name: str) -> "_Linear":
-        return _Linear({name: Fraction(1)})
-
-    @staticmethod
-    def num(value: int) -> "_Linear":
-        return _Linear(const=Fraction(value))
-
-    def add(self, other: "_Linear", sign: int = 1) -> "_Linear":
-        coeffs = dict(self.coeffs)
-        for name, coeff in other.coeffs.items():
-            coeffs[name] = coeffs.get(name, Fraction(0)) + sign * coeff
-        if sign > 0:
-            lo, hi = self.lo + other.lo, self.hi + other.hi
-        else:
-            lo, hi = self.lo - other.hi, self.hi - other.lo
-        return _Linear(
-            coeffs, self.const + sign * other.const, lo, hi
+def _has_arithmetic(node: ast.expr) -> bool:
+    return any(
+        isinstance(child, ast.BinOp)
+        or (
+            isinstance(child, ast.Call)
+            and isinstance(child.func, ast.Name)
+            and child.func.id in ("min", "max")
         )
-
-    def scale(self, factor: Fraction) -> "_Linear":
-        coeffs = {k: v * factor for k, v in self.coeffs.items()}
-        if factor >= 0:
-            lo, hi = self.lo * factor, self.hi * factor
-        else:
-            lo, hi = self.hi * factor, self.lo * factor
-        return _Linear(coeffs, self.const * factor, lo, hi)
-
-    def floordiv(self, k: int) -> "_Linear":
-        scaled = self.scale(Fraction(1, k))
-        return _Linear(
-            scaled.coeffs,
-            scaled.const,
-            scaled.lo - Fraction(k - 1, k),
-            scaled.hi,
-        )
-
-
-def _linearize(node: ast.expr) -> Optional[_Linear]:
-    if isinstance(node, ast.Constant) and type(node.value) is int:
-        return _Linear.num(node.value)
-    dotted = dotted_name(node)
-    if dotted is not None:
-        return _Linear.var(dotted)
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        inner = _linearize(node.operand)
-        return inner.scale(Fraction(-1)) if inner is not None else None
-    if isinstance(node, ast.BinOp):
-        left = _linearize(node.left)
-        right = _linearize(node.right)
-        if left is None or right is None:
-            return None
-        if isinstance(node.op, ast.Add):
-            return left.add(right)
-        if isinstance(node.op, ast.Sub):
-            return left.add(right, sign=-1)
-        if isinstance(node.op, ast.Mult):
-            if not right.coeffs and right.lo == right.hi == 0:
-                return left.scale(right.const)
-            if not left.coeffs and left.lo == left.hi == 0:
-                return right.scale(left.const)
-            return None
-        if isinstance(node.op, ast.FloorDiv):
-            if (
-                not right.coeffs
-                and right.lo == right.hi == 0
-                and right.const > 0
-                and right.const.denominator == 1
-            ):
-                return left.floordiv(int(right.const))
-            return None
-        return None
-    return None
-
-
-def _quorum_margin(
-    read: ast.expr, write: ast.expr
-) -> Optional[Tuple[Fraction, Fraction]]:
-    """Bounds of ``R + W - N`` if decidable, else None.
-
-    Strict intersection requires the margin to be >= 1 everywhere; a
-    certain violation has an upper bound <= 0.
-    """
-    read_form = _linearize(read)
-    write_form = _linearize(write)
-    if read_form is None or write_form is None:
-        return None
-    total = read_form.add(write_form)
-    candidates = sorted(
-        name
-        for name in total.coeffs
-        if name.rsplit(".", 1)[-1] in _N_NAMES
+        for child in ast.walk(node)
     )
-    if len(candidates) != 1:
-        return None
-    margin = total.add(_Linear.var(candidates[0]), sign=-1)
-    if margin.coeffs:
-        return None
-    return margin.const + margin.lo, margin.const + margin.hi
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +311,8 @@ class ProtocolLinter:
 
     def _check_quorum_arithmetic(self, source: SourceFile) -> list[Finding]:
         findings: list[Finding] = []
+        if relative_to_repro(source.path).endswith(_QUORUM_MODULES):
+            return findings
         symbol_of: Dict[int, str] = {}
         for func, owner in walk_functions(source.tree):
             name = getattr(func, "name", "<lambda>")
@@ -453,23 +325,19 @@ class ProtocolLinter:
             dotted = dotted_name(node.func)
             if dotted is None or dotted.rsplit(".", 1)[-1] != "QuorumConfig":
                 continue
-            read, write = self._quorum_args(node)
-            if read is None or write is None:
-                continue
-            margin = _quorum_margin(read, write)
-            if margin is None:
-                continue
-            lo, hi = margin
-            if hi <= 0:
+            if any(
+                size is not None and _has_arithmetic(size)
+                for size in self._quorum_args(node)
+            ):
                 findings.append(
                     self._finding(
                         source,
                         node,
                         "QP002",
-                        "quorum arithmetic provably violates strict "
-                        f"intersection: R + W - N <= {hi} here, but "
-                        "R + W > N is required (read and write quorums "
-                        "must overlap; see QuorumConfig.is_strict)",
+                        "quorum size computed outside the quorum system: "
+                        "use QuorumConfig.from_write or a QuorumSystem "
+                        "method (repro.sds.quorum) instead of re-deriving "
+                        "R + W > N here",
                         symbol_of.get(id(node), ""),
                     )
                 )

@@ -1,45 +1,43 @@
 """Quorum-safety static analysis (rules QS001-QS003).
 
-Strong consistency in Q-OPT rests on one algebraic invariant: every
-installed (R, W) pair is *strict* for the replication degree N —
-``R + W > N`` and ``max(R, W) <= N`` — at every construction and
-(re)configuration site (Section 2.1; write/write ordering needs no
-``2W > N`` because writes carry globally ordered timestamps).  The
-runtime enforcement point is ``validate_strict``; this analyzer proves,
-file-set wide, that no quorum value can reach the data plane without
-passing through it:
+Strong consistency in Q-OPT rests on one invariant: every installed
+(R, W) pair is *strict* for the replication degree N (Section 2.1).
+One class defines it, :class:`repro.sds.quorum.QuorumSystem`, and its
+``require_strict``/``require_strict_plan``/``admits`` methods are the
+runtime enforcement points.  This analyzer proves, file-set wide, that
+no quorum value reaches the data plane without passing through one:
 
 QS001  unvalidated-quorum-construction
     A ``QuorumConfig``/``QuorumPlan`` construction (or plan-algebra
     builder call: ``uniform``, ``with_overrides``, ``with_default``)
-    whose result neither flows into ``validate_strict``/``is_strict``
-    nor escapes to a caller (return value / lambda body — in which case
-    the *installation* site is checked instead, see QS002).  Calls to
-    the trusted strict-by-construction producers ``from_write``,
-    ``all_strict_minimal`` and ``transition_with`` are exempt: the first
-    two emit ``(N - W + 1, W)`` pairs with ``R + W = N + 1 > N``, and
-    the pairwise max of two strict configurations is strict.
+    whose result is neither passed to a validating method nor escapes
+    to a caller (return value / lambda body — in which case the
+    *installation* site is checked instead, see QS002).  Values made by
+    ``QuorumConfig.from_write`` or a ``QuorumSystem`` method are strict
+    by construction and are not constructions in this sense.
 
 QS002  unvalidated-reconfiguration-site
     A function that broadcasts a ``NewQuorum``/``Confirm`` protocol
     message, or a reconfiguration entry point (``change_*`` /
     ``_reconfigure``), must validate — directly, or by delegating to a
-    function that (transitively) calls ``validate_strict``.
+    function that (transitively) calls a validating method.
 
 QS003  provably-broken-intersection
-    Wherever R, W and N are all integer literals (a construction with a
-    chained ``validate_strict(n)``, an ``initial_quorum=`` inside a
-    ``ClusterConfig(...)`` call, or ``from_write(w, n)``), check the
-    arithmetic at lint time and report configurations that *cannot* be
-    strict — these would only fail at runtime on the path that installs
-    them.
+    Wherever R, W and N are all integer literals (a
+    ``QuorumSystem(n).require_strict(QuorumConfig(r, w))`` chain, an
+    ``initial_quorum=`` inside a ``ClusterConfig(...)`` call, or
+    ``from_write(w, n)``), build the values and ask ``QuorumSystem``
+    itself at lint time, reporting configurations it rejects — these
+    would only fail at runtime on the path that installs them.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
+from repro.common.errors import ConfigurationError
+from repro.common.types import QuorumConfig
 from repro.qlint.astutils import (
     SourceFile,
     call_name,
@@ -47,18 +45,17 @@ from repro.qlint.astutils import (
     int_literal,
 )
 from repro.qlint.findings import Finding, Severity
+from repro.sds.quorum import QuorumSystem
 
 #: Final call-name segments that produce a quorum value to be checked.
 _CONSTRUCTORS = frozenset({"QuorumConfig", "QuorumPlan"})
 _PLAN_BUILDERS = frozenset({"with_overrides", "with_default"})
 
-#: Strict-by-construction producers (proof in the module docstring).
-_TRUSTED_PRODUCERS = frozenset(
-    {"from_write", "all_strict_minimal", "transition_with"}
+#: ``QuorumSystem`` methods that validate the quorum passed to them.
+#: Matching is by name, so these stay distinctive.
+_VALIDATING_METHODS = frozenset(
+    {"require_strict", "require_strict_plan", "admits"}
 )
-
-#: Method names that constitute validation of their receiver.
-_VALIDATING_ATTRS = frozenset({"validate_strict", "is_strict"})
 
 #: Protocol messages whose construction marks an installation site.
 _INSTALL_MESSAGES = frozenset({"NewQuorum", "Confirm"})
@@ -81,6 +78,15 @@ def _final_segment(name: Optional[str]) -> Optional[str]:
     return name.rsplit(".", 1)[-1] if name else None
 
 
+def _callee(node: ast.Call) -> Optional[str]:
+    """Final name of a call target, also for chains like ``f(x).m(...)``."""
+    if isinstance(node.func, ast.Attribute):
+        return node.func.attr
+    if isinstance(node.func, ast.Name):
+        return node.func.id
+    return None
+
+
 def _is_plan_producing(node: ast.Call) -> bool:
     name = call_name(node)
     final = _final_segment(name)
@@ -93,23 +99,32 @@ def _is_plan_producing(node: ast.Call) -> bool:
     )
 
 
+def _rejection(build: Callable[[], object]) -> Optional[str]:
+    """The ``ConfigurationError`` message ``build()`` raises, if any."""
+    try:
+        build()
+    except ConfigurationError as exc:
+        return str(exc)
+    return None
+
+
 class QuorumSafetyLinter:
     """File-set aware analyzer for QS001-QS003.
 
     ``prepare`` must run over the whole file set first: it computes the
-    transitive set of *validating* function names (those that call
-    ``validate_strict``, directly or through a callee) and the
-    dataclass fields that are validated by their owning class (e.g.
-    ``ClusterConfig.initial_quorum``), so that cross-file delegation is
-    recognized.
+    transitive set of *validating* function names (those that call a
+    validating ``QuorumSystem`` method, directly or through a callee)
+    and the dataclass fields that are validated by their owning class
+    (e.g. ``ClusterConfig.initial_quorum``), so that cross-file
+    delegation is recognized.
     """
 
     rules = ("QS001", "QS002", "QS003")
 
     def __init__(self) -> None:
-        self.validating_names: set[str] = set(_VALIDATING_ATTRS)
+        self.validating_names: set[str] = set(_VALIDATING_METHODS)
         #: class name -> field names some method validates via
-        #: ``self.<field>.validate_strict(...)``.
+        #: ``<system>.require_strict(self.<field>)``.
         self.validated_fields: dict[str, set[str]] = {}
         #: Statically known default replication degree (from the
         #: ``ClusterConfig`` dataclass, when it is in the file set).
@@ -130,7 +145,7 @@ class QuorumSafetyLinter:
                 called = {
                     segment
                     for segment in (
-                        _final_segment(call_name(call))
+                        _callee(call)
                         for call in ast.walk(node)
                         if isinstance(call, ast.Call)
                     )
@@ -154,18 +169,15 @@ class QuorumSafetyLinter:
     def _scan_class(self, node: ast.ClassDef) -> None:
         fields: set[str] = set()
         for item in ast.walk(node):
-            if not isinstance(item, ast.Call):
-                continue
-            name = dotted_name(item.func)
-            if name is None:
-                continue
-            parts = name.split(".")
-            if (
-                len(parts) == 3
-                and parts[0] == "self"
-                and parts[2] in _VALIDATING_ATTRS
+            if not (
+                isinstance(item, ast.Call)
+                and _callee(item) in _VALIDATING_METHODS
             ):
-                fields.add(parts[1])
+                continue
+            for arg in item.args:
+                parts = (dotted_name(arg) or "").split(".")
+                if len(parts) == 2 and parts[0] == "self":
+                    fields.add(parts[1])
         if fields:
             self.validated_fields.setdefault(node.name, set()).update(fields)
         if node.name == "ClusterConfig":
@@ -208,9 +220,7 @@ class QuorumSafetyLinter:
                         source, node, parents, enclosing.get(node)
                     )
                 )
-            if isinstance(
-                node, (ast.Call,)
-            ) and _final_segment(call_name(node)) in _INSTALL_MESSAGES:
+            if _callee(node) in _INSTALL_MESSAGES:
                 findings.extend(
                     self._check_install_site(source, enclosing.get(node), node)
                 )
@@ -231,8 +241,6 @@ class QuorumSafetyLinter:
         parents: dict[ast.AST, ast.AST],
         func: Optional[ast.AST],
     ) -> list[Finding]:
-        if _final_segment(call_name(node)) in _TRUSTED_PRODUCERS:
-            return []
         if self._value_is_discharged(node, parents, func):
             return []
         return [
@@ -241,8 +249,9 @@ class QuorumSafetyLinter:
                 node,
                 "QS001",
                 f"`{call_name(node)}(...)` result never reaches "
-                "`validate_strict` in this scope and does not escape to "
-                "a caller — quorum values must be validated before use",
+                "`QuorumSystem.require_strict*` in this scope and does not "
+                "escape to a caller — quorum values must be validated "
+                "before use",
             )
         ]
 
@@ -266,15 +275,14 @@ class QuorumSafetyLinter:
         if isinstance(parent, ast.Lambda) and parent.body is node:
             return True
         if isinstance(parent, ast.Attribute):
+            # e.g. ``QuorumPlan.uniform(...).with_overrides(...)`` — the
+            # outer builder is itself checked.
             outer = parents.get(parent)
-            if isinstance(outer, ast.Call) and outer.func is parent:
-                if parent.attr in _VALIDATING_ATTRS:
-                    return True
-                if _is_plan_producing(outer):
-                    # e.g. ``QuorumPlan.uniform(...).with_overrides(...)``
-                    # — the outer builder is itself checked.
-                    return True
-            return False
+            return (
+                isinstance(outer, ast.Call)
+                and outer.func is parent
+                and _is_plan_producing(outer)
+            )
         if isinstance(parent, ast.keyword):
             outer = parents.get(parent)
             if isinstance(outer, ast.Call):
@@ -301,8 +309,7 @@ class QuorumSafetyLinter:
     def _argument_is_discharged(
         self, call: ast.Call, keyword: Optional[str]
     ) -> bool:
-        name = call_name(call)
-        final = _final_segment(name)
+        final = _callee(call)
         if final in self.validating_names:
             return True
         if _is_plan_producing(call):
@@ -318,16 +325,7 @@ class QuorumSafetyLinter:
             return False
         for node in ast.walk(func):
             if isinstance(node, ast.Call):
-                target = dotted_name(node.func)
-                if target is not None:
-                    parts = target.split(".")
-                    if (
-                        len(parts) == 2
-                        and parts[0] == name
-                        and parts[1] in _VALIDATING_ATTRS
-                    ):
-                        return True
-                if _final_segment(target) in self.validating_names:
+                if _callee(node) in self.validating_names:
                     for arg in list(node.args) + [
                         kw.value for kw in node.keywords
                     ]:
@@ -361,8 +359,9 @@ class QuorumSafetyLinter:
                 "QS002",
                 f"`{func.name}` broadcasts "
                 f"`{_final_segment(call_name(message))}` without calling "
-                "`validate_strict` (directly or via a validating callee) "
-                "— an unvalidated plan could be installed cluster-wide",
+                "`QuorumSystem.require_strict*` (directly or via a "
+                "validating callee) — an unvalidated plan could be "
+                "installed cluster-wide",
             )
         ]
 
@@ -393,9 +392,11 @@ class QuorumSafetyLinter:
 
     def _function_validates(self, func: ast.AST) -> bool:
         for node in ast.walk(func):
-            if isinstance(node, ast.Call):
-                if _final_segment(call_name(node)) in self.validating_names:
-                    return True
+            if (
+                isinstance(node, ast.Call)
+                and _callee(node) in self.validating_names
+            ):
+                return True
         return False
 
     # -- QS003 -------------------------------------------------------------
@@ -403,16 +404,11 @@ class QuorumSafetyLinter:
     def _check_literals(
         self, source: SourceFile, node: ast.Call
     ) -> list[Finding]:
-        name = call_name(node)
-        final = _final_segment(name)
-        if final is None and isinstance(node.func, ast.Attribute):
-            # Chains rooted at a call — ``QuorumConfig(...).validate_strict``
-            # — have no dotted name; dispatch on the attribute itself.
-            final = node.func.attr
+        final = _callee(node)
         if final == "from_write":
             return self._check_from_write_literals(source, node)
-        if final == "validate_strict" or final == "is_strict":
-            return self._check_validate_literals(source, node)
+        if final in _VALIDATING_METHODS:
+            return self._check_system_literals(source, node)
         if final == "ClusterConfig":
             return self._check_cluster_literals(source, node)
         return []
@@ -449,39 +445,40 @@ class QuorumSafetyLinter:
         write: int,
         degree: int,
     ) -> list[Finding]:
-        problems: list[str] = []
-        if min(read, write) < 1:
-            problems.append("quorum sizes must be >= 1")
-        if read + write <= degree:
-            problems.append(
-                f"R + W = {read + write} does not exceed N = {degree} — "
-                "read and write quorums may fail to intersect"
+        reason = _rejection(
+            lambda: QuorumSystem(degree).require_strict(
+                QuorumConfig(read, write)
             )
-        if max(read, write) > degree:
-            problems.append(
-                f"max(R, W) = {max(read, write)} exceeds N = {degree}"
-            )
+        )
+        if reason is None:
+            return []
         return [
             self._finding(
                 source,
                 node,
                 "QS003",
                 f"R={read}, W={write} provably violates strict quorum "
-                f"intersection: {problem}",
+                f"intersection: {reason}",
             )
-            for problem in problems
         ]
 
-    def _check_validate_literals(
+    def _check_system_literals(
         self, source: SourceFile, node: ast.Call
     ) -> list[Finding]:
-        if not isinstance(node.func, ast.Attribute):
+        """``QuorumSystem(<int>).require_strict(QuorumConfig(<int>, <int>))``."""
+        receiver = (
+            node.func.value if isinstance(node.func, ast.Attribute) else None
+        )
+        if not (
+            isinstance(receiver, ast.Call)
+            and _callee(receiver) == "QuorumSystem"
+            and receiver.args
+            and node.args
+        ):
             return []
-        pair = self._quorum_literals(node.func.value)
-        if pair is None or not node.args:
-            return []
-        degree = int_literal(node.args[0])
-        if degree is None:
+        degree = int_literal(receiver.args[0])
+        pair = self._quorum_literals(node.args[0])
+        if degree is None or pair is None:
             return []
         return self._strictness_findings(source, node, *pair, degree)
 
@@ -525,17 +522,24 @@ class QuorumSafetyLinter:
                 degree = int_literal(kw.value)
         if write is None or degree is None:
             return []
-        if not 1 <= write <= degree:
-            return [
-                self._finding(
-                    source,
-                    node,
-                    "QS003",
-                    f"from_write({write}, {degree}): write quorum outside "
-                    f"[1, {degree}] can never be strict",
-                )
-            ]
-        return []
+        n, w = degree, write
+        reason = _rejection(
+            lambda: QuorumSystem(n).require_strict(
+                QuorumConfig.from_write(w, n)
+            )
+        )
+        if reason is None:
+            return []
+        return [
+            self._finding(
+                source,
+                node,
+                "QS003",
+                f"from_write({write}, {degree}) can never be strict: "
+                f"{reason}",
+            )
+        ]
+
 
     # -- helpers -----------------------------------------------------------
 

@@ -58,7 +58,7 @@ DETERMINISM_PACKAGES = (
 )
 
 #: Bump when rule semantics change — invalidates result caches.
-RULESET_VERSION = "3"
+RULESET_VERSION = "4"
 
 ALL_RULES = (
     tuple(DeterminismLinter.rules)
@@ -74,7 +74,7 @@ RULE_SUMMARIES = {
     "QD002": "wall-clock access in simulated code",
     "QD003": "iteration over an unordered set",
     "QD004": "mutable default argument",
-    "QS001": "quorum construction never validated",
+    "QS001": "quorum construction never validated by QuorumSystem",
     "QS002": "reconfiguration site installs an unvalidated plan",
     "QS003": "statically provable strict-quorum violation",
     "QC001": "shared-state check-then-act across a suspension point",
@@ -83,7 +83,7 @@ RULE_SUMMARIES = {
     "QC004": "captured lease/grant/expiry value stale after suspension",
     "QC005": "timer armed inside any_of([...]) is never cancelled",
     "QP001": "wire-registry exhaustiveness / append-only order",
-    "QP002": "provable R+W>N violation in quorum arithmetic",
+    "QP002": "quorum-size arithmetic outside the quorum system",
 }
 
 

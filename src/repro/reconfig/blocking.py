@@ -23,7 +23,7 @@ from repro.sds.messages import (
     PauseProxy,
     ResumeProxy,
 )
-from repro.sds.quorum import QuorumPlan
+from repro.sds.quorum import QuorumPlan, QuorumSystem
 from repro.sim.failure import FailureDetector
 from repro.sim.kernel import Future, Process, Simulator
 from repro.sim.network import Envelope, Network
@@ -54,8 +54,8 @@ class BlockingReconfigurationManager(Node):
         )
         self._proxies = list(proxies)
         self._detector = detector
-        self._replication_degree = replication_degree
-        self._current_plan = initial_plan.validate_strict(replication_degree)
+        self._system = QuorumSystem(replication_degree)
+        self._current_plan = self._system.require_strict_plan(initial_plan)
         self._poll = suspect_poll_interval
         self._mutex = Mutex(sim)
         self._cfg_no = 0
@@ -87,7 +87,7 @@ class BlockingReconfigurationManager(Node):
     def change_plan_body(
         self, new_plan: QuorumPlan
     ) -> Generator[Future, Any, int]:
-        new_plan.validate_strict(self._replication_degree)
+        self._system.require_strict_plan(new_plan)
         yield self._mutex.acquire()
         try:
             pause_started = self.sim.now

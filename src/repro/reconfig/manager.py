@@ -54,7 +54,7 @@ from repro.sds.messages import (
     NewEpoch,
     NewQuorum,
 )
-from repro.sds.quorum import QuorumPlan
+from repro.sds.quorum import QuorumPlan, QuorumSystem
 from repro.net.transport import Transport
 from repro.sim.failure import SuspicionSource
 from repro.sim.kernel import Future, Process, Simulator
@@ -102,7 +102,7 @@ class ReconfigurationManager(Node):
         self._proxies = list(proxies)
         self._storage_nodes = list(storage_nodes)
         self._detector = detector
-        self._replication_degree = replication_degree
+        self._system = QuorumSystem(replication_degree)
         self._poll = suspect_poll_interval
         # NEWQ/CONFIRM/NEWEP are retransmitted to unresponsive,
         # unsuspected nodes at this cadence: under message loss the
@@ -114,7 +114,7 @@ class ReconfigurationManager(Node):
         # Algorithm 2 state.
         self._epoch_no = 0
         self._cfg_no = 0
-        self._current_plan = initial_plan.validate_strict(replication_degree)
+        self._current_plan = self._system.require_strict_plan(initial_plan)
         self._mutex = Mutex(sim)
 
         # Ack collection, keyed by the awaited epoch number.
@@ -170,7 +170,7 @@ class ReconfigurationManager(Node):
         wait for completion; test harnesses use
         ``sim.run_process(rm.change_plan_body(plan))`` instead.
         """
-        plan.validate_strict(self._replication_degree)
+        self._system.require_strict_plan(plan)
         return self.spawn(
             self.change_plan_body(plan),
             name=f"{self.node_id}.reconfig-{self._cfg_no + 1}",
@@ -227,7 +227,7 @@ class ReconfigurationManager(Node):
         try:
             old_plan = self._current_plan
             new_plan = build_plan(old_plan)
-            new_plan.validate_strict(self._replication_degree)
+            self._system.require_strict_plan(new_plan)
             self._cfg_no += 1
             cfg_no = self._cfg_no
             if obs is not None:
@@ -254,10 +254,9 @@ class ReconfigurationManager(Node):
             )
             if not all_acked:
                 # Line 12-14: a proxy is suspected — fence the old epoch.
-                transition = old_plan.transition_with(new_plan)
                 yield from self._epoch_change(
-                    quorum=max(old_plan.max_read, old_plan.max_write),
-                    plan=transition,
+                    quorum=self._system.fence_quorum(old_plan),
+                    plan=self._system.transition_plan(old_plan, new_plan),
                     cfg_no=cfg_no,
                     parent=span,
                 )
@@ -274,7 +273,7 @@ class ReconfigurationManager(Node):
             if not all_acked:
                 # Line 18-19: fence again, now with the new quorum sizes.
                 yield from self._epoch_change(
-                    quorum=max(new_plan.max_read, new_plan.max_write),
+                    quorum=self._system.fence_quorum(new_plan),
                     plan=new_plan,
                     cfg_no=cfg_no,
                     parent=span,

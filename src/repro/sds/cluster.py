@@ -21,7 +21,7 @@ from repro.metrics.timeline import EventTimeline
 from repro.obs.context import Observability
 from repro.sds.client import ClientNode, OperationRecord, OperationSource
 from repro.sds.proxy import ProxyNode
-from repro.sds.quorum import QuorumPlan
+from repro.sds.quorum import QuorumPlan, QuorumSystem
 from repro.sds.ring import PlacementRing
 from repro.sds.storage import StorageNode
 from repro.sds.vector_clocks import make_versioning
@@ -68,9 +68,9 @@ class SwiftCluster:
             # the trace as annotations.
             self.events.bind_observability(obs)
 
-        initial_plan = QuorumPlan.uniform(self.config.initial_quorum)
-        initial_plan.validate_strict(self.config.replication_degree)
-        self.initial_plan = initial_plan
+        self.initial_plan = QuorumSystem(
+            self.config.replication_degree
+        ).require_strict_plan(QuorumPlan.uniform(self.config.initial_quorum))
 
         storage_ids = [
             NodeId.storage(index)
@@ -85,7 +85,7 @@ class SwiftCluster:
                 self.network,
                 node_id,
                 config=self.config.storage,
-                initial_plan=initial_plan,
+                initial_plan=self.initial_plan,
                 rng=substream(seed, "storage", node_id.index),
                 ring=self.ring,
                 obs=obs,
@@ -99,7 +99,7 @@ class SwiftCluster:
                 NodeId.proxy(index),
                 ring=self.ring,
                 config=self.config.proxy,
-                initial_plan=initial_plan,
+                initial_plan=self.initial_plan,
                 rng=substream(seed, "proxy", index),
                 stats=ProxyStatsRecorder(
                     top_k=top_k, summary_capacity=summary_capacity

@@ -67,7 +67,7 @@ from repro.sds.messages import (
     RoundStats,
 )
 from repro.net.transport import Transport
-from repro.sds.quorum import ConfigurationHistory, QuorumPlan
+from repro.sds.quorum import ConfigurationHistory, QuorumPlan, QuorumSystem
 from repro.sds.ring import PlacementRing, _hash64
 from repro.sds.vector_clocks import TimestampVersioning
 from repro.sim.kernel import Future, Simulator, Timer
@@ -966,9 +966,9 @@ class ProxyNode(Node):
         # Invariant I7: entering the new epoch fences held leases.
         self._drop_all_leases()
         # New reads/writes are processed using the transition quorum.
-        self._transition_plan = self._current_plan.transition_with(
-            message.plan
-        )
+        self._transition_plan = QuorumSystem(
+            self._ring.replication_degree
+        ).transition_plan(self._current_plan, message.plan)
         # Wait until all pending operations issued under the old quorum
         # complete; operations started from now on belong to a fresh
         # counter and need not drain.

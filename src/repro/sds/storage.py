@@ -41,7 +41,7 @@ from repro.sds.messages import (
 )
 from repro.net.transport import Transport
 from repro.sds.persistence import MemoryBackend, StorageBackend
-from repro.sds.quorum import QuorumPlan
+from repro.sds.quorum import QuorumPlan, QuorumSystem
 from repro.sds.ring import PlacementRing
 from repro.sim.kernel import Simulator
 from repro.sim.network import Envelope
@@ -642,7 +642,8 @@ class StorageNode(Node):
     def _maybe_exit_quarantine(self) -> None:
         """Lift the quarantine once the I6 catch-up condition holds.
 
-        Condition: replies from at least ``max_read(plan)`` distinct
+        Condition: replies from at least ``QuorumSystem.recovery_quorum``
+        (the plan's largest read quorum, capped at the peer count) distinct
         peers whose epoch is no newer than ours (we adopt newer epochs
         on sight, so this means "at the current epoch").  Any read
         quorum's worth of peers intersects every write quorum of the
@@ -657,8 +658,11 @@ class StorageNode(Node):
             epoch > self._epoch_no for epoch in self._sync_replies.values()
         ):
             return
-        peers = self._recovery_peers()
-        needed = min(self._plan.max_read, len(peers)) if peers else 0
+        ring = self._ring
+        assert ring is not None  # only ring members recover (__init__)
+        needed = QuorumSystem(ring.replication_degree).recovery_quorum(
+            self._plan, len(self._recovery_peers())
+        )
         caught_up = sum(
             1
             for epoch in self._sync_replies.values()

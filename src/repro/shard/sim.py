@@ -38,7 +38,7 @@ from repro.oracle.service import OracleNode, QuorumOracle
 from repro.reconfig.manager import ReconfigurationManager
 from repro.sds.client import ClientNode, OperationRecord, OperationSource
 from repro.sds.proxy import ProxyNode
-from repro.sds.quorum import QuorumPlan
+from repro.sds.quorum import QuorumPlan, QuorumSystem
 from repro.sds.ring import PlacementRing
 from repro.sds.storage import StorageNode
 from repro.sds.vector_clocks import make_versioning
@@ -143,8 +143,9 @@ class ShardedSimCluster:
     def _build_shard(self, index: int, write_quorum: int) -> SimShard:
         config = self.config
         degree = config.replication_degree
-        plan = QuorumPlan.uniform(QuorumConfig.from_write(write_quorum, degree))
-        plan.validate_strict(degree)
+        plan = QuorumSystem(degree).require_strict_plan(
+            QuorumPlan.uniform(QuorumConfig.from_write(write_quorum, degree))
+        )
         base = index * SHARD_INDEX_STRIDE
         storage_ids = [
             NodeId.storage(base + i)
@@ -244,7 +245,6 @@ class ShardedSimCluster:
             oracle=oracle_node.node_id,
             detector=self.detector,
             config=config,
-            replication_degree=self.config.replication_degree,
             initial_default=QuorumConfig.from_write(
                 target.write_quorum, self.config.replication_degree
             ),

@@ -13,6 +13,7 @@ from repro.common.config import (
 )
 from repro.common.errors import ConfigurationError
 from repro.common.types import QuorumConfig
+from repro.sds.quorum import QuorumSystem
 
 
 class TestNetworkConfig:
@@ -114,10 +115,17 @@ class TestAutonomicConfig:
 
     def test_write_quorum_range_respects_bounds(self):
         config = AutonomicConfig(min_write_quorum=2, max_write_quorum=4)
-        assert list(config.write_quorum_range(5)) == [2, 3, 4]
+        writes = QuorumSystem(5).admissible_writes(
+            config.min_write_quorum, config.max_write_quorum
+        )
+        assert list(writes) == [2, 3, 4]
 
     def test_unbounded_range_covers_all(self):
-        assert list(AutonomicConfig().write_quorum_range(5)) == [1, 2, 3, 4, 5]
+        config = AutonomicConfig()
+        writes = QuorumSystem(5).admissible_writes(
+            config.min_write_quorum, config.max_write_quorum
+        )
+        assert list(writes) == [1, 2, 3, 4, 5]
 
     @pytest.mark.parametrize(
         "kwargs",

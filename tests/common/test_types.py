@@ -15,6 +15,7 @@ from repro.common.types import (
     ZERO_STAMP,
     missing_version,
 )
+from repro.sds.quorum import QuorumPlan, QuorumSystem
 
 
 class TestNodeId:
@@ -31,18 +32,26 @@ class TestNodeId:
         assert mapping[NodeId.proxy(1)] == "a"
 
 
+def _transition(n: int, old: QuorumConfig, new: QuorumConfig) -> QuorumConfig:
+    return (
+        QuorumSystem(n)
+        .transition_plan(QuorumPlan.uniform(old), QuorumPlan.uniform(new))
+        .default
+    )
+
+
 class TestQuorumConfig:
     def test_strictness(self):
-        assert QuorumConfig(3, 3).is_strict(5)
-        assert not QuorumConfig(2, 3).is_strict(5)
+        assert QuorumSystem(5).admits(QuorumConfig(3, 3))
+        assert not QuorumSystem(5).admits(QuorumConfig(2, 3))
 
     def test_validate_strict_raises_on_violation(self):
         with pytest.raises(ConfigurationError):
-            QuorumConfig(2, 3).validate_strict(5)
+            QuorumSystem(5).require_strict(QuorumConfig(2, 3))
 
     def test_validate_strict_rejects_oversized_quorum(self):
         with pytest.raises(ConfigurationError):
-            QuorumConfig(6, 1).validate_strict(5)
+            QuorumSystem(5).require_strict(QuorumConfig(6, 1))
 
     def test_zero_quorum_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -54,18 +63,13 @@ class TestQuorumConfig:
             config = QuorumConfig.from_write(write, 5)
             assert config.write == write
             assert config.read == 5 - write + 1
-            assert config.is_strict(5)
+            assert QuorumSystem(5).admits(config)
 
     def test_from_write_bounds(self):
         with pytest.raises(ConfigurationError):
             QuorumConfig.from_write(0, 5)
         with pytest.raises(ConfigurationError):
             QuorumConfig.from_write(6, 5)
-
-    def test_all_strict_minimal(self):
-        configs = QuorumConfig.all_strict_minimal(5)
-        assert len(configs) == 5
-        assert all(c.read + c.write == 6 for c in configs)
 
     @given(
         old_w=st.integers(1, 5),
@@ -78,7 +82,7 @@ class TestQuorumConfig:
         n = 5
         old = QuorumConfig.from_write(old_w, n)
         new = QuorumConfig.from_write(new_w, n)
-        transition = old.transition_with(new)
+        transition = _transition(n, old, new)
         for other in (old, new):
             assert transition.read + other.write > n
             assert transition.write + other.read > n
@@ -87,7 +91,7 @@ class TestQuorumConfig:
     def test_transition_is_commutative(self, old_w, new_w):
         old = QuorumConfig.from_write(old_w, 5)
         new = QuorumConfig.from_write(new_w, 5)
-        assert old.transition_with(new) == new.transition_with(old)
+        assert _transition(5, old, new) == _transition(5, new, old)
 
 
 class TestVersionStamp:

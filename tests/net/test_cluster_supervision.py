@@ -175,18 +175,18 @@ class TestProcStats:
             workdir=str(tmp_path),
         )
         process = subprocess.Popen(
-            [sys.executable, "-c", "import time; time.sleep(600)"]
+            [sys.executable, "-c",
+             "import time; print('ready', flush=True); time.sleep(600)"],
+            stdout=subprocess.PIPE,
         )
         worker = NodeProcess(cluster.spec.replicas[0], process)
         cluster.workers.append(worker)
         try:
-            # A just-forked child can report rss=0 until exec lands.
-            deadline = 50
+            # While the interpreter starts up its RSS and CPU time still
+            # climb, so two samples taken then can differ by more than
+            # any tolerance; sample only once the child sleeps.
+            assert process.stdout.readline() == b"ready\n"
             live = worker.resources()
-            while live is not None and not live["rss_bytes"] and deadline:
-                time.sleep(0.02)
-                deadline -= 1
-                live = worker.resources()
             assert live is not None and live["rss_bytes"] > 0
             entry = asyncio.run(cluster.health())[worker.name]
             assert entry["resources"] == pytest.approx(live, rel=0.5)
@@ -194,4 +194,5 @@ class TestProcStats:
         finally:
             cluster.kill()
             process.wait()
+            process.stdout.close()
         assert worker.resources() is None

@@ -16,6 +16,7 @@ from repro.sds.messages import (
     TailQuorum,
     TailStats,
 )
+from repro.sds.quorum import QuorumSystem
 from repro.sim.node import Node
 
 
@@ -34,7 +35,7 @@ class TestQuorumOracle:
     def test_config_derives_read_quorum(self, trained_oracle):
         config = trained_oracle.predict_config(0.99, 64 * 1024)
         assert config == QuorumConfig(read=5, write=1)
-        assert config.is_strict(5)
+        assert QuorumSystem(5).admits(config)
 
     def test_constraints_clamp_prediction(self):
         oracle = QuorumOracle.trained_default(
@@ -129,4 +130,4 @@ class TestOracleNode:
         )
         sim.run()
         quorum = probe.tail_replies[0].quorum
-        assert quorum.is_strict(5)
+        assert QuorumSystem(5).admits(quorum)

@@ -207,7 +207,9 @@ class TestQuorumArithmetic:
         )
         assert rules_of(findings) == ["QP002"]
 
-    def test_majority_majority_is_strict(self, lint):
+    def test_majority_majority_flagged(self, lint):
+        # Strict, but a second copy of the sizing rule: only the quorum
+        # system may compute quorum sizes.
         findings = lint(
             """
             from repro.common.types import QuorumConfig
@@ -217,7 +219,7 @@ class TestQuorumArithmetic:
             """,
             select=["QP002"],
         )
-        assert findings == []
+        assert rules_of(findings) == ["QP002"]
 
     def test_off_by_one_complement_flagged(self, lint):
         # The paper's rule is R = N - W + 1; R = N - W only *touches*.
@@ -232,7 +234,9 @@ class TestQuorumArithmetic:
         )
         assert rules_of(findings) == ["QP002"]
 
-    def test_paper_rule_is_strict(self, lint):
+    def test_paper_rule_outside_quorum_module_flagged(self, lint):
+        # The paper's rule itself lives in QuorumConfig.from_write;
+        # restating it elsewhere is the drift QP002 exists to stop.
         findings = lint(
             """
             from repro.common.types import QuorumConfig
@@ -240,6 +244,31 @@ class TestQuorumArithmetic:
             def build(n, w):
                 return QuorumConfig(read=n - w + 1, write=w)
             """,
+            select=["QP002"],
+        )
+        assert rules_of(findings) == ["QP002"]
+
+    def test_min_max_call_flagged(self, lint):
+        findings = lint(
+            """
+            from repro.common.types import QuorumConfig
+
+            def widen(a, b):
+                return QuorumConfig(read=max(a.read, b.read), write=b.write)
+            """,
+            select=["QP002"],
+        )
+        assert rules_of(findings) == ["QP002"]
+
+    def test_quorum_module_is_exempt(self, lint):
+        findings = lint(
+            """
+            from repro.common.types import QuorumConfig
+
+            def widen(a, b):
+                return QuorumConfig(read=max(a.read, b.read), write=b.write)
+            """,
+            name="sds/quorum.py",
             select=["QP002"],
         )
         assert findings == []

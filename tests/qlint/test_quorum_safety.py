@@ -22,9 +22,13 @@ class TestUnvalidatedConstruction:
         findings = lint(
             """
             from repro.common.types import QuorumConfig
+            from repro.sds.quorum import QuorumSystem
 
             def build(n):
-                return QuorumConfig(read=3, write=3).validate_strict(n)
+                quorum = QuorumSystem(n).require_strict(
+                    QuorumConfig(read=3, write=3)
+                )
+                print(quorum)
             """
         )
         assert findings == []
@@ -34,10 +38,10 @@ class TestUnvalidatedConstruction:
             """
             from repro.common.types import QuorumConfig
 
-            def build(n):
+            def build(system):
                 quorum = QuorumConfig(read=3, write=3)
-                quorum.validate_strict(n)
-                return quorum
+                system.require_strict(quorum)
+                print(quorum)
             """
         )
         assert findings == []
@@ -57,13 +61,14 @@ class TestUnvalidatedConstruction:
         findings = lint(
             """
             from repro.common.types import QuorumConfig
+            from repro.sds.quorum import QuorumSystem
 
-            def install(plan, n):
-                plan.validate_strict(n)
+            def install(plan, system):
+                system.require_strict_plan(plan)
 
             def build(n):
                 quorum = QuorumConfig(read=3, write=3)
-                install(quorum, n)
+                install(quorum, QuorumSystem(n))
             """
         )
         assert findings == []
@@ -127,8 +132,8 @@ class TestInstallSites:
             class NewQuorum:
                 pass
 
-            def broadcast(network, plan, n):
-                plan.validate_strict(n)
+            def broadcast(network, plan, system):
+                system.require_strict_plan(plan)
                 network.send(NewQuorum())
             """
         )
@@ -141,7 +146,7 @@ class TestInstallSites:
                 pass
 
             def _vet(plan, n):
-                plan.validate_strict(n)
+                QuorumSystem(n).require_strict_plan(plan)
 
             def _prepare(plan, n):
                 _vet(plan, n)
@@ -180,9 +185,12 @@ class TestLiteralStrictness:
         findings = lint(
             """
             from repro.common.types import QuorumConfig
+            from repro.sds.quorum import QuorumSystem
 
             def build():
-                return QuorumConfig(read=2, write=2).validate_strict(5)
+                return QuorumSystem(5).require_strict(
+                    QuorumConfig(read=2, write=2)
+                )
             """
         )
         assert rules_of(findings) == ["QS003"]
@@ -192,9 +200,12 @@ class TestLiteralStrictness:
         findings = lint(
             """
             from repro.common.types import QuorumConfig
+            from repro.sds.quorum import QuorumSystem
 
             def build():
-                return QuorumConfig(read=6, write=3).validate_strict(5)
+                return QuorumSystem(5).require_strict(
+                    QuorumConfig(read=6, write=3)
+                )
             """
         )
         assert rules_of(findings) == ["QS003"]
@@ -203,9 +214,12 @@ class TestLiteralStrictness:
         findings = lint(
             """
             from repro.common.types import QuorumConfig
+            from repro.sds.quorum import QuorumSystem
 
             def build():
-                return QuorumConfig(read=3, write=3).validate_strict(5)
+                return QuorumSystem(5).require_strict(
+                    QuorumConfig(read=3, write=3)
+                )
             """
         )
         assert findings == []
@@ -214,11 +228,14 @@ class TestLiteralStrictness:
         findings = lint(
             """
             from repro.common.types import QuorumConfig
+            from repro.sds.quorum import QuorumSystem
 
             class ClusterConfig:
                 def __init__(self, replication_degree, initial_quorum):
                     self.initial_quorum = initial_quorum
-                    self.initial_quorum.validate_strict(replication_degree)
+                    QuorumSystem(replication_degree).require_strict(
+                        self.initial_quorum
+                    )
 
             def build():
                 return ClusterConfig(

@@ -26,7 +26,7 @@ REPLICAS = [NodeId.storage(index) for index in range(5)]
 SELF = REPLICAS[0]
 PEERS = REPLICAS[1:]
 PROXY = NodeId.proxy(0)
-#: N=5, W=4 -> R=2: quarantine lifts after min(max_read, peers)=2 replies.
+#: N=5, W=4 -> R=2: quarantine lifts after recovery_quorum = 2 replies.
 PLAN = QuorumPlan.uniform(QuorumConfig(read=2, write=4))
 
 
@@ -175,7 +175,7 @@ class TestCatchUp:
         node = make_node(sim, network, tmp_path)
         probes[PEERS[0]].send(SELF, sync_reply(PEERS[0]))
         sim.run(until=0.1)
-        assert node.quarantined is True  # one reply < max_read=2
+        assert node.quarantined is True  # one reply < recovery_quorum=2
         probes[PEERS[1]].send(SELF, sync_reply(PEERS[1]))
         sim.run(until=0.2)
         assert node.quarantined is False
