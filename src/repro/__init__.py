@@ -57,7 +57,7 @@ if TYPE_CHECKING:
         attach_blocking_manager,
         attach_reconfiguration_manager,
     )
-    from repro.sds import QuorumPlan, SwiftCluster, build_cluster
+    from repro.sds import QuorumPlan, SwiftCluster
     from repro.sim import Simulator
     from repro.topk import SpaceSaving
     from repro.workloads import (
@@ -109,7 +109,7 @@ __getattr__ = lazy_exports(
             "attach_blocking_manager",
             "attach_reconfiguration_manager",
         ),
-        "repro.sds": ("QuorumPlan", "SwiftCluster", "build_cluster"),
+        "repro.sds": ("QuorumPlan", "SwiftCluster"),
         "repro.sim": ("Simulator",),
         "repro.topk": ("SpaceSaving",),
         "repro.workloads": (
@@ -158,7 +158,6 @@ __all__ = [
     "attach_blocking_manager",
     "attach_qopt",
     "attach_reconfiguration_manager",
-    "build_cluster",
     "generate_training_set",
     "measure_throughput",
     "sweep_configurations",

@@ -12,6 +12,7 @@ from typing import Optional
 from repro.autonomic.manager import AutonomicManager
 from repro.common.config import AutonomicConfig
 from repro.common.errors import ConfigurationError
+from repro.common.types import NodeId, NodeKind
 from repro.oracle.service import OracleNode, QuorumOracle
 from repro.reconfig.manager import (
     ReconfigurationManager,
@@ -48,19 +49,16 @@ def attach_qopt(
     cluster: SwiftCluster,
     autonomic_config: Optional[AutonomicConfig] = None,
     oracle: Optional[QuorumOracle] = None,
-    start: bool = True,
     rm_replicas: int = 1,
 ) -> QOptSystem:
     """Attach the full Q-OPT control plane to a cluster.
 
     ``oracle`` defaults to a decision-tree oracle trained on the default
     ~170-workload sweep against this cluster's configuration (the
-    offline-training step of the paper).  Pass ``start=False`` to wire
-    the components without starting the Autonomic Manager's control
-    loop (e.g. for manually driven reconfiguration experiments).
-    ``rm_replicas > 1`` deploys the fault-tolerant primary-backup
-    Reconfiguration Manager instead of the single-node one; the
-    Autonomic Manager then fails over between replicas automatically.
+    offline-training step of the paper).  ``rm_replicas > 1`` deploys
+    the fault-tolerant primary-backup Reconfiguration Manager instead of
+    the single-node one; the Autonomic Manager then fails over between
+    replicas automatically.
     """
     if rm_replicas < 1:
         raise ConfigurationError("rm_replicas must be >= 1")
@@ -80,23 +78,7 @@ def attach_qopt(
         rm_group = attach_replicated_manager(cluster, replicas=rm_replicas)
         rm = rm_group.members[0]
         rm_targets = rm_group.member_ids
-    oracle_node = OracleNode(cluster.sim, cluster.network, oracle)
-    oracle_node.start()
-    cluster._nodes_by_id[oracle_node.node_id] = oracle_node
-    am = AutonomicManager(
-        cluster.sim,
-        cluster.network,
-        proxies=[proxy.node_id for proxy in cluster.proxies],
-        reconfig_manager=rm_targets,
-        oracle=oracle_node.node_id,
-        detector=cluster.detector,
-        config=config,
-        initial_default=cluster.config.initial_quorum,
-        obs=getattr(cluster, "obs", None),
-    )
-    cluster._nodes_by_id[am.node_id] = am
-    if start:
-        am.start()
+    oracle_node, am = attach_tuning_loop(cluster, oracle, config, rm_targets)
     return QOptSystem(
         cluster=cluster,
         reconfiguration_manager=rm,
@@ -104,3 +86,37 @@ def attach_qopt(
         autonomic_manager=am,
         rm_group=rm_group,
     )
+
+
+def attach_tuning_loop(
+    cluster: SwiftCluster,
+    oracle: QuorumOracle,
+    config: AutonomicConfig,
+    reconfig_manager: NodeId | list[NodeId],
+) -> tuple[OracleNode, AutonomicManager]:
+    """Join a ring's Oracle + Autonomic Manager pair to its cluster.
+
+    Both take the ring's index, so each shard of a sharded world tunes
+    on its own.  ``config`` must already be validated.
+    """
+    oracle_node = OracleNode(
+        cluster.sim,
+        cluster.network,
+        oracle,
+        node_id=NodeId(NodeKind.ORACLE.value, cluster.index),
+    )
+    cluster.add_node(oracle_node)
+    am = AutonomicManager(
+        cluster.sim,
+        cluster.network,
+        proxies=[proxy.node_id for proxy in cluster.proxies],
+        reconfig_manager=reconfig_manager,
+        oracle=oracle_node.node_id,
+        detector=cluster.detector,
+        config=config,
+        initial_default=cluster.config.initial_quorum,
+        obs=cluster.obs,
+        node_id=NodeId(NodeKind.AUTONOMIC_MANAGER.value, cluster.index),
+    )
+    cluster.add_node(am)
+    return oracle_node, am

@@ -292,8 +292,6 @@ class AutonomicConfig:
 
     #: Number of hot objects optimized per fine-grain round (top-k size).
     top_k: int = 8
-    #: Space-Saving summary capacity (counters per proxy).
-    summary_capacity: int = 256
     #: Length of one monitoring round, simulated seconds.  The paper uses a
     #: 30 s moving-average window; simulations compress time so the default
     #: here is shorter but plays the same role.
@@ -331,8 +329,6 @@ class AutonomicConfig:
     def validate(self, replication_degree: int) -> "AutonomicConfig":
         if self.top_k < 1:
             raise ConfigurationError("top_k must be >= 1")
-        if self.summary_capacity < self.top_k:
-            raise ConfigurationError("summary_capacity must be >= top_k")
         if self.round_duration <= 0:
             raise ConfigurationError("round_duration must be > 0")
         if self.gamma < 1:

@@ -3,16 +3,11 @@
 The simulator's nemesis (:mod:`repro.sim.nemesis`) schedules *modelled*
 faults inside one process; this module does it to a real
 :class:`~repro.net.cluster.LocalCluster`: seeded kill → restart
-schedules delivered as SIGKILL to worker processes, a restart policy
-with exponential backoff and fail-fast health checks, and a
-fault-injecting wrapper over the TCP transport for connection resets and
-delay spikes.
+schedules delivered as SIGKILL to worker processes, and a restart
+policy with exponential backoff and fail-fast health checks.
 
 Faults are *faithful*: a killed replica loses exactly what a ``kill -9``
-loses (its process state and any unfsynced WAL tail), a reset connection
-loses in-flight frames as a unit (at-most-once — nothing is duplicated
-or replayed), and a delay spike only postpones a send, it never reorders
-it ahead of earlier traffic to the same peer.
+loses (its process state and any unfsynced WAL tail).
 
 Determinism: the schedule is derived from the cluster seed through the
 usual substream discipline, so a CI failure reproduces locally from the
@@ -22,15 +17,13 @@ same ``--seed``.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.common.rng import substream
-from repro.common.types import NodeId
 from repro.net.cluster import LocalCluster
 from repro.net.httpd import http_get
 from repro.net.spec import ClusterSpec
-from repro.net.tcp import TcpTransport
 
 
 # --------------------------------------------------------------------------
@@ -218,74 +211,10 @@ class LiveNemesis:
         return None
 
 
-# --------------------------------------------------------------------------
-# Fault-injecting transport wrapper
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class FaultInjector:
-    """Transport wrapper: seeded drops, delay spikes, connection resets.
-
-    Wraps a :class:`TcpTransport` behind the same ``register``/``send``
-    seam the protocol nodes use.  Faults preserve at-most-once: a
-    dropped send is dropped forever, a delayed send is delivered once
-    (later), and :meth:`reset_connections` severs live links so frames
-    in flight are lost as units — nothing is ever duplicated.
-    """
-
-    inner: TcpTransport
-    seed: int = 0
-    drop_rate: float = 0.0
-    delay_rate: float = 0.0
-    delay_seconds: float = 0.05
-    dropped: int = 0
-    delayed: int = 0
-    resets: int = 0
-    _rng: Any = field(init=False, default=None)
-
-    def __post_init__(self) -> None:
-        self._rng = substream(self.seed, "nemesis", "faults")
-
-    def register(self, node_id: NodeId) -> Any:
-        return self.inner.register(node_id)
-
-    def send(
-        self,
-        sender: NodeId,
-        recipient: NodeId,
-        payload: Any,
-        size: int = 256,
-        trace: Optional[Tuple[int, int]] = None,
-    ) -> None:
-        roll = self._rng.random()
-        if roll < self.drop_rate:
-            self.dropped += 1
-            return
-        if roll < self.drop_rate + self.delay_rate:
-            self.delayed += 1
-            self.inner._kernel._loop.call_later(
-                self.delay_seconds,
-                self.inner.send,
-                sender,
-                recipient,
-                payload,
-                size,
-                trace,
-            )
-            return
-        self.inner.send(sender, recipient, payload, size, trace)
-
-    def reset_connections(self) -> None:
-        self.resets += 1
-        self.inner.drop_connections()
-
-
 __all__ = [
     "KillCycle",
     "RestartPolicy",
     "NemesisCycleResult",
     "LiveNemesis",
-    "FaultInjector",
     "build_schedule",
 ]

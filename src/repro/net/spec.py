@@ -259,18 +259,8 @@ class ClusterSpec:
             self.initial_write_quorum, self.replication_degree
         )
 
-    def initial_plan(self) -> QuorumPlan:
-        return QuorumPlan.uniform(self.initial_quorum())
-
-    def storage_ids(self) -> List[NodeId]:
-        return [address.node_id for address in self.replicas]
-
     def proxy_ids(self) -> List[NodeId]:
         return [address.node_id for address in self.proxies]
-
-    def ring(self) -> PlacementRing:
-        """The single-shard placement ring (shard 0's when sharded)."""
-        return self.shard_views()[0].ring()
 
     # -- shard topology -------------------------------------------------------
 

@@ -190,7 +190,6 @@ def _run_scenario(
             cluster,
             autonomic_config=AutonomicConfig(
                 top_k=4,
-                summary_capacity=64,
                 round_duration=0.6,
                 gamma=1,
                 theta=0.0,

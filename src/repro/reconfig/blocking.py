@@ -154,6 +154,5 @@ def attach_blocking_manager(
         initial_plan=cluster.initial_plan,
         replication_degree=cluster.config.replication_degree,
     )
-    manager.start()
-    cluster._nodes_by_id[manager.node_id] = manager
+    cluster.add_node(manager)
     return manager

@@ -464,9 +464,9 @@ class ReconfigurationManager(Node):
 
 
 def attach_reconfiguration_manager(
-    cluster: "SwiftCluster", suspect_poll_interval: float = 0.05
+    cluster: "SwiftCluster",
 ) -> ReconfigurationManager:
-    """Create, register and start an RM for a :class:`SwiftCluster`."""
+    """Create, register and start the RM of a :class:`SwiftCluster`'s ring."""
     manager = ReconfigurationManager(
         cluster.sim,
         cluster.network,
@@ -475,9 +475,8 @@ def attach_reconfiguration_manager(
         detector=cluster.detector,
         initial_plan=cluster.initial_plan,
         replication_degree=cluster.config.replication_degree,
-        suspect_poll_interval=suspect_poll_interval,
-        obs=getattr(cluster, "obs", None),
+        node_id=NodeId(NodeKind.RECONFIG_MANAGER.value, cluster.index),
+        obs=cluster.obs,
     )
-    manager.start()
-    cluster._nodes_by_id[manager.node_id] = manager
+    cluster.add_node(manager)
     return manager

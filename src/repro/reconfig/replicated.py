@@ -81,7 +81,6 @@ class ReplicatedRMMember(ReconfigurationManager):
         replication_degree: int,
         rank: int,
         member_ids: list[NodeId],
-        suspect_poll_interval: float = 0.05,
     ) -> None:
         self._member_rank = rank
         self._member_ids = list(member_ids)
@@ -93,7 +92,6 @@ class ReplicatedRMMember(ReconfigurationManager):
             detector=detector,
             initial_plan=initial_plan,
             replication_degree=replication_degree,
-            suspect_poll_interval=suspect_poll_interval,
             node_id=NodeId("reconfig-manager", rank),
         )
         self._is_primary = rank == 0
@@ -248,7 +246,6 @@ class ReplicatedReconfigurationManager:
 def attach_replicated_manager(
     cluster: "SwiftCluster",
     replicas: int = 3,
-    suspect_poll_interval: float = 0.05,
 ) -> ReplicatedReconfigurationManager:
     """Create, register and start a replicated RM group for a cluster."""
     if replicas < 1:
@@ -266,9 +263,7 @@ def attach_replicated_manager(
             replication_degree=cluster.config.replication_degree,
             rank=rank,
             member_ids=member_ids,
-            suspect_poll_interval=suspect_poll_interval,
         )
-        member.start()
-        cluster._nodes_by_id[member.node_id] = member
+        cluster.add_node(member)
         members.append(member)
     return ReplicatedReconfigurationManager(members, crashes=cluster.crashes)

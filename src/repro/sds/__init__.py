@@ -6,7 +6,7 @@ from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from repro.sds.client import ClientNode, OperationRecord, OperationSource
-    from repro.sds.cluster import SwiftCluster, build_cluster
+    from repro.sds.cluster import SwiftCluster
     from repro.sds.consistency import HistoryChecker, Violation
     from repro.sds.messages import AggregateStats, ObjectStats
     from repro.sds.proxy import ProxyNode
@@ -38,7 +38,7 @@ __getattr__ = lazy_exports(
             "OperationRecord",
             "OperationSource",
         ),
-        "repro.sds.cluster": ("SwiftCluster", "build_cluster"),
+        "repro.sds.cluster": ("SwiftCluster",),
         "repro.sds.consistency": ("HistoryChecker", "Violation"),
         "repro.sds.messages": ("AggregateStats", "ObjectStats"),
         "repro.sds.proxy": ("ProxyNode",),
@@ -78,7 +78,6 @@ __all__ = [
     "VectorStamp",
     "VectorVersioning",
     "Violation",
-    "build_cluster",
     "make_versioning",
     "read_value",
 ]

@@ -5,12 +5,19 @@ from a :class:`~repro.common.config.ClusterConfig`: the network, the
 placement ring, storage and proxy nodes, crash management, and (on
 demand) closed-loop clients driving a workload.  The Q-OPT control plane
 (Reconfiguration Manager, Autonomic Manager, Oracle) attaches on top via
-the ``repro.reconfig`` and ``repro.autonomic`` packages.
+the ``repro.reconfig`` and ``repro.autonomic`` packages, each node
+joining through :meth:`SimWorld.add_node`.
+
+This module is the only place the simulator builds a deployment.
+:class:`SimWorld` is what every node of one simulation shares;
+:class:`SwiftCluster` is one ring on a world.  The sharded fleet
+(:class:`~repro.shard.sim.ShardedSimCluster`) is one world carrying
+several rings, each a :class:`SwiftCluster` built on the fleet's world.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from repro.common.config import ClusterConfig
 from repro.common.errors import ConfigurationError
@@ -19,7 +26,12 @@ from repro.common.types import NodeId, ObjectId, Version
 from repro.metrics.collector import OperationLog
 from repro.metrics.timeline import EventTimeline
 from repro.obs.context import Observability
-from repro.sds.client import ClientNode, OperationRecord, OperationSource
+from repro.sds.client import (
+    ClientNode,
+    OperationRecord,
+    OperationSource,
+    ProxySelector,
+)
 from repro.sds.proxy import ProxyNode
 from repro.sds.quorum import QuorumPlan, QuorumSystem
 from repro.sds.ring import PlacementRing
@@ -28,38 +40,42 @@ from repro.sds.vector_clocks import make_versioning
 from repro.sim.failure import CrashManager, FailureDetector
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
+from repro.sim.node import Node
 from repro.topk.stats import ProxyStatsRecorder
 
+#: A shared operation source, or a factory called with the client index.
+Workload = Union[OperationSource, Callable[[int], OperationSource]]
 
-class SwiftCluster:
-    """A fully wired simulated SDS deployment."""
+
+class SimWorld:
+    """What every node of one simulation shares.
+
+    One kernel, one network, crash injection with its ◇P detector, the
+    operation log, the audit timeline, the clients, and the node
+    registry that turns an injected crash into the node's fail-stop.
+    """
 
     def __init__(
         self,
-        config: Optional[ClusterConfig] = None,
-        seed: int = 0,
-        top_k: int = 8,
-        summary_capacity: int = 256,
-        detection_delay: float = 0.5,
-        obs: Optional[Observability] = None,
+        config: ClusterConfig,
+        seed: int,
+        obs: Optional[Observability],
     ) -> None:
-        self.config = (config or ClusterConfig()).validate()
+        self.config = config
         self.seed = seed
-        self.sim = Simulator()
         #: Optional observability bundle: when given, every tier is
         #: instrumented and the tracer follows the simulated clock.
         self.obs = obs
+        self.sim = Simulator()
         if obs is not None:
             obs.bind_clock(lambda: self.sim.now)
         self.network = Network(
-            self.sim, self.config.network, rng=substream(seed, "network")
+            self.sim, config.network, rng=substream(seed, "network")
         )
         if obs is not None:
             self.network.bind_observability(obs)
         self.crashes = CrashManager(self.sim, self.network)
-        self.detector = FailureDetector(
-            self.sim, self.crashes, detection_delay=detection_delay
-        )
+        self.detector = FailureDetector(self.sim, self.crashes)
         self.log = OperationLog()
         #: Shared audit log: nemesis faults, proxy/client degradation events.
         self.events = EventTimeline()
@@ -67,28 +83,120 @@ class SwiftCluster:
             # Bridge timeline records (nemesis faults in particular) into
             # the trace as annotations.
             self.events.bind_observability(obs)
+        self.clients: list[ClientNode] = []
+        self._nodes_by_id: dict[NodeId, Node] = {}
+        # Fail-stop: when the crash manager kills a node, stop its
+        # processes too, so crashed nodes truly go silent.
+        self.crashes.on_crash(self._on_crash)
 
+    def add_node(self, node: Node) -> None:
+        """Join ``node`` to the world: start it and route an injected
+        crash of its id to its fail-stop."""
+        node.start()
+        self._nodes_by_id[node.node_id] = node
+
+    def _add_client(
+        self,
+        workload: Workload,
+        proxy_id: NodeId,
+        think_time: float,
+        recorder: Optional[Callable[[OperationRecord], None]],
+        pipeline_depth: int,
+        injection_rate: float,
+        router: Optional[ProxySelector] = None,
+    ) -> ClientNode:
+        index = len(self.clients)
+        client = ClientNode(
+            self.sim,
+            self.network,
+            NodeId.client(index),
+            proxy_id=proxy_id,
+            workload=workload(index) if callable(workload) else workload,
+            rng=substream(self.seed, "client", index),
+            log=self.log,
+            think_time=think_time,
+            recorder=recorder,
+            policy=self.config.client,
+            events=self.events,
+            obs=self.obs,
+            pipeline_depth=pipeline_depth,
+            injection_rate=injection_rate,
+            router=router,
+        )
+        self.add_node(client)
+        self.clients.append(client)
+        return client
+
+    def _on_crash(self, node_id: NodeId) -> None:
+        node = self._nodes_by_id.get(node_id)
+        if node is not None:
+            node.crash()
+
+    def run(self, duration: float) -> None:
+        """Advance the simulation by ``duration`` seconds."""
+        if duration < 0:
+            raise ConfigurationError("duration must be >= 0")
+        self.sim.run(until=self.sim.now + duration)
+
+
+class SwiftCluster(SimWorld):
+    """A fully wired simulated SDS deployment: one ring on its world."""
+
+    def __init__(
+        self,
+        config: Optional[ClusterConfig] = None,
+        seed: int = 0,
+        obs: Optional[Observability] = None,
+    ) -> None:
+        super().__init__((config or ClusterConfig()).validate(), seed, obs)
+        self._build_ring(index=0, first_node=0)
+
+    @classmethod
+    def _on_world(
+        cls,
+        world: SimWorld,
+        config: ClusterConfig,
+        index: int,
+        first_node: int,
+    ) -> "SwiftCluster":
+        """Ring ``index`` of a multi-ring world (a shard).
+
+        The ring aliases every handle of ``world`` — kernel, network,
+        failures, logs, clients and node registry — so ``world`` must
+        hold nothing but its :class:`SimWorld` state yet.  Its storage
+        and proxy indices start at ``first_node``.
+        """
+        ring = cls.__new__(cls)
+        vars(ring).update(vars(world))
+        ring.config = config
+        ring._build_ring(index, first_node)
+        return ring
+
+    def _build_ring(self, index: int, first_node: int) -> None:
+        config = self.config
+        #: This ring's position in its world; its control-plane
+        #: singletons (RM, AM, Oracle) take it as their index.
+        self.index = index
         self.initial_plan = QuorumSystem(
-            self.config.replication_degree
-        ).require_strict_plan(QuorumPlan.uniform(self.config.initial_quorum))
-
+            config.replication_degree
+        ).require_strict_plan(QuorumPlan.uniform(config.initial_quorum))
         storage_ids = [
-            NodeId.storage(index)
-            for index in range(self.config.num_storage_nodes)
+            NodeId.storage(first_node + offset)
+            for offset in range(config.num_storage_nodes)
         ]
         self.ring = PlacementRing(
-            storage_ids, replication_degree=self.config.replication_degree
+            storage_ids, replication_degree=config.replication_degree
         )
         self.storage_nodes: list[StorageNode] = [
             StorageNode(
                 self.sim,
                 self.network,
                 node_id,
-                config=self.config.storage,
+                config=config.storage,
                 initial_plan=self.initial_plan,
-                rng=substream(seed, "storage", node_id.index),
+                rng=substream(self.seed, "storage", node_id.index),
                 ring=self.ring,
-                obs=obs,
+                obs=self.obs,
             )
             for node_id in storage_ids
         ]
@@ -96,34 +204,26 @@ class SwiftCluster:
             ProxyNode(
                 self.sim,
                 self.network,
-                NodeId.proxy(index),
+                NodeId.proxy(first_node + offset),
                 ring=self.ring,
-                config=self.config.proxy,
+                config=config.proxy,
                 initial_plan=self.initial_plan,
-                rng=substream(seed, "proxy", index),
-                stats=ProxyStatsRecorder(
-                    top_k=top_k, summary_capacity=summary_capacity
-                ),
-                versioning=make_versioning(self.config.versioning),
+                rng=substream(self.seed, "proxy", first_node + offset),
+                stats=ProxyStatsRecorder(top_k=8, summary_capacity=256),
+                versioning=make_versioning(config.versioning),
                 events=self.events,
-                obs=obs,
+                obs=self.obs,
             )
-            for index in range(self.config.num_proxies)
+            for offset in range(config.num_proxies)
         ]
-        self.clients: list[ClientNode] = []
-        self._nodes_by_id: dict[NodeId, object] = {}
         for node in [*self.storage_nodes, *self.proxies]:
-            node.start()
-            self._nodes_by_id[node.node_id] = node
-        # Fail-stop: when the crash manager kills a node, stop its
-        # processes too, so crashed nodes truly go silent.
-        self.crashes.on_crash(self._on_crash)
+            self.add_node(node)
 
     # -- client management ----------------------------------------------------
 
     def add_clients(
         self,
-        workload: OperationSource | Callable[[int], OperationSource],
+        workload: Workload,
         clients_per_proxy: Optional[int] = None,
         think_time: float = 0.0,
         recorder: Optional[Callable[[OperationRecord], None]] = None,
@@ -140,37 +240,24 @@ class SwiftCluster:
         (see :class:`~repro.sds.client.ClientNode`).
         """
         count_per_proxy = clients_per_proxy or self.config.clients_per_proxy
-        created: list[ClientNode] = []
-        base_index = len(self.clients)
-        for proxy_index, proxy in enumerate(self.proxies):
-            for slot in range(count_per_proxy):
-                client_index = base_index + proxy_index * count_per_proxy + slot
-                source = (
-                    workload(client_index)
-                    if callable(workload)
-                    else workload
-                )
-                client = ClientNode(
-                    self.sim,
-                    self.network,
-                    NodeId.client(client_index),
-                    proxy_id=proxy.node_id,
-                    workload=source,
-                    rng=substream(self.seed, "client", client_index),
-                    log=self.log,
-                    think_time=think_time,
-                    recorder=recorder,
-                    policy=self.config.client,
-                    events=self.events,
-                    obs=self.obs,
-                    pipeline_depth=pipeline_depth,
-                    injection_rate=injection_rate,
-                )
-                client.start()
-                self.clients.append(client)
-                self._nodes_by_id[client.node_id] = client
-                created.append(client)
-        return created
+        return [
+            self._add_client(
+                workload,
+                proxy.node_id,
+                think_time,
+                recorder,
+                pipeline_depth,
+                injection_rate,
+            )
+            for proxy in self.proxies
+            for _ in range(count_per_proxy)
+        ]
+
+    def throughput(self, window: float) -> float:
+        """Cluster throughput (ops/s) over the trailing ``window`` seconds."""
+        return self.log.throughput(
+            max(0.0, self.sim.now - window), self.sim.now
+        )
 
     # -- failure injection ------------------------------------------------------
 
@@ -179,25 +266,6 @@ class SwiftCluster:
 
     def crash_proxy(self, index: int) -> None:
         self.crashes.crash(NodeId.proxy(index))
-
-    def _on_crash(self, node_id: NodeId) -> None:
-        node = self._nodes_by_id.get(node_id)
-        if node is not None:
-            node.crash()
-
-    # -- running --------------------------------------------------------------
-
-    def run(self, duration: float) -> None:
-        """Advance the simulation by ``duration`` seconds."""
-        if duration < 0:
-            raise ConfigurationError("duration must be >= 0")
-        self.sim.run(until=self.sim.now + duration)
-
-    def throughput(self, window: float) -> float:
-        """Cluster throughput (ops/s) over the trailing ``window`` seconds."""
-        return self.log.throughput(
-            max(0.0, self.sim.now - window), self.sim.now
-        )
 
     # -- inspection (used by tests and consistency checkers) ---------------------
 
@@ -217,10 +285,3 @@ class SwiftCluster:
         node = self._nodes_by_id[node_id]
         assert isinstance(node, StorageNode)
         return node
-
-
-def build_cluster(
-    config: Optional[ClusterConfig] = None, seed: int = 0, **kwargs: object
-) -> SwiftCluster:
-    """Convenience alias mirroring the public API naming."""
-    return SwiftCluster(config=config, seed=seed, **kwargs)

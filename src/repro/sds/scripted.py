@@ -62,8 +62,7 @@ class ScriptedClient(Node):
         self._pending: dict[int, Future] = {}
         self.register_handler(ClientReadReply, self._on_read_reply)
         self.register_handler(ClientWriteReply, self._on_write_reply)
-        self.start()
-        cluster._nodes_by_id[self.node_id] = self
+        cluster.add_node(self)
 
     # -- operations -----------------------------------------------------------
 

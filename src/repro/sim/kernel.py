@@ -159,18 +159,8 @@ class Process:
         self._sim._schedule_now(self._step_throw, Interrupt(cause))
 
     def kill(self) -> None:
-        """Terminate the process silently (used for node crashes).
-
-        The process's ``result`` future is failed so that joiners are not
-        left waiting forever.
-        """
-        if not self._alive:
-            return
-        self._alive = False
-        self._waiting_on = None
-        self._gen.close()
-        if not self.result.done:
-            self.result.fail(Interrupt("killed"))
+        """Terminate the process silently; see :func:`kill_all`."""
+        kill_all((self,))
 
     # -- stepping machinery -------------------------------------------------
 
@@ -237,6 +227,24 @@ class Process:
         self.result.fail(exc)
         if not watched and not isinstance(exc, Interrupt):
             self._sim._report_crash(self, exc)
+
+
+def kill_all(processes: Iterable[Process]) -> None:
+    """Terminate processes silently, as one step (used for node crashes).
+
+    Every process is marked dead before any generator is closed: closing
+    one runs its ``finally`` blocks, which may resolve a future another
+    of them waits on, and that one must not resume.  Each ``result``
+    future is failed so that joiners are not left waiting forever.
+    """
+    victims = [process for process in processes if process._alive]
+    for process in victims:
+        process._alive = False
+        process._waiting_on = None
+    for process in victims:
+        process._gen.close()
+        if not process.result.done:
+            process.result.fail(Interrupt("killed"))
 
 
 class Simulator:

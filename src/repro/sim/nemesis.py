@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, Tuple
 
 from repro.common.errors import SimulationError
 from repro.common.rng import substream
@@ -38,6 +38,9 @@ from repro.metrics.timeline import EventTimeline
 from repro.sim.failure import CrashManager, FailureDetector
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
+
+if TYPE_CHECKING:
+    from repro.sds.cluster import SimWorld
 
 #: A directed link, for omission and delay faults.
 Link = Tuple[NodeId, NodeId]
@@ -79,15 +82,15 @@ class Nemesis:
         self.faults: list[FaultEvent] = []
 
     @classmethod
-    def for_cluster(cls, cluster: object, seed: int = 0) -> "Nemesis":
-        """Build a nemesis wired to a :class:`~repro.sds.cluster.SwiftCluster`."""
+    def for_cluster(cls, cluster: SimWorld, seed: int = 0) -> "Nemesis":
+        """Build a nemesis wired to a simulated cluster's world."""
         return cls(
-            cluster.sim,  # type: ignore[attr-defined]
-            cluster.network,  # type: ignore[attr-defined]
-            cluster.crashes,  # type: ignore[attr-defined]
-            cluster.detector,  # type: ignore[attr-defined]
+            cluster.sim,
+            cluster.network,
+            cluster.crashes,
+            cluster.detector,
             seed=seed,
-            events=getattr(cluster, "events", None),
+            events=cluster.events,
         )
 
     # -- schedule-construction helpers ---------------------------------------

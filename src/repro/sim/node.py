@@ -16,7 +16,7 @@ from typing import Any, Callable, Optional, Tuple
 from repro.common.errors import NodeCrashedError, SimulationError
 from repro.common.types import NodeId
 from repro.net.transport import Transport
-from repro.sim.kernel import Process, ProcessGen, Simulator
+from repro.sim.kernel import Process, ProcessGen, Simulator, kill_all
 from repro.sim.network import Envelope
 
 
@@ -57,14 +57,16 @@ class Node:
         )
 
     def crash(self) -> None:
-        """Fail-stop this node: kill the receive loop and all children."""
+        """Fail-stop this node: kill the receive loop and all children.
+
+        They die together (:func:`~repro.sim.kernel.kill_all`): a child
+        whose ``finally`` resolves a sibling's future must not resume
+        that sibling, which would then act for a crashed node.
+        """
         if self.crashed:
             return
         self.crashed = True
-        if self._loop is not None:
-            self._loop.kill()
-        for child in self._children:
-            child.kill()
+        kill_all(p for p in (self._loop, *self._children) if p is not None)
         self._children.clear()
 
     @property

@@ -142,6 +142,21 @@ class TestCrashSchedules:
         # Epoch fencing kicked in for the dead proxy.
         assert rm.epoch_changes >= 1
 
+    def test_proxy_crash_while_draining_for_newq(self, base_seed):
+        """A proxy dies 5ms into the first NEWQ, while it drains in-flight
+        operations.  Killing an operation child resolves the drain, and
+        the NEWQ handler must not wake up to ack from a crashed node.
+
+        Wall time: ~1.5 s.
+        """
+        cluster, system, checker, nemesis = build_chaos_stack(base_seed * 100)
+        nemesis.crash_on_reconfiguration(
+            system.reconfiguration_manager, proxy_ids(cluster)[0], delay=0.005
+        )
+        cluster.run(4.0)
+        assert_chaos_invariants(cluster, checker)
+        assert any(f.kind == "crash" for f in nemesis.faults)
+
 
 class TestSuspicionSchedules:
     def test_false_suspicion_burst(self, base_seed):

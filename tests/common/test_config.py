@@ -131,7 +131,6 @@ class TestAutonomicConfig:
         "kwargs",
         [
             {"top_k": 0},
-            {"summary_capacity": 2, "top_k": 8},
             {"round_duration": 0.0},
             {"gamma": 0},
             {"theta": -0.1},
@@ -140,6 +139,7 @@ class TestAutonomicConfig:
             {"min_write_quorum": 4, "max_write_quorum": 2},
             {"max_write_quorum": 9},
             {"max_rounds": 0},
+            {"kpi": "goodput"},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

@@ -24,6 +24,25 @@ HISTORY_RECORDS = 3326
 SIGNATURE = "d5b2741d74bc115f69cd4955e0d5c94ffb37f7d241edabc106ac3852a1f7bc0b"
 
 
+def run_pin(cluster, records) -> tuple[int, int, str]:
+    """(kernel events, record count, sha256 of events + history): a
+    seeded run's fingerprint, byte-identical across refactors."""
+    digest = hashlib.sha256()
+    digest.update(repr(cluster.events.signature()).encode())
+    digest.update(
+        repr(
+            [
+                (
+                    r.client, r.object_id, r.op_type, r.invoked_at,
+                    r.completed_at, r.value, r.stamp,
+                )
+                for r in records
+            ]
+        ).encode()
+    )
+    return cluster.sim.events_processed, len(records), digest.hexdigest()
+
+
 def test_seeded_run_is_byte_identical_to_pre_cancellation_parent() -> None:
     cluster, system, checker, nemesis = build_chaos_stack(
         142, write_ratio=0.2, lease_duration=1.5
@@ -38,19 +57,8 @@ def test_seeded_run_is_byte_identical_to_pre_cancellation_parent() -> None:
     assert sum(p.lease_read_misses for p in cluster.proxies) == 403
     assert system.reconfiguration_manager.retransmissions == 2
 
-    digest = hashlib.sha256()
-    digest.update(repr(cluster.events.signature()).encode())
-    digest.update(
-        repr(
-            [
-                (
-                    r.client, r.object_id, r.op_type, r.invoked_at,
-                    r.completed_at, r.value, r.stamp,
-                )
-                for r in checker.records
-            ]
-        ).encode()
+    assert run_pin(cluster, checker.records) == (
+        EVENTS_PROCESSED,
+        HISTORY_RECORDS,
+        SIGNATURE,
     )
-    assert cluster.sim.events_processed == EVENTS_PROCESSED
-    assert len(checker.records) == HISTORY_RECORDS
-    assert digest.hexdigest() == SIGNATURE

@@ -1,11 +1,8 @@
-"""Nemesis building blocks: schedules, restart policy, fault injector."""
+"""Nemesis building blocks: schedules and the restart policy."""
 
 from __future__ import annotations
 
-import asyncio
-
-from repro.common.types import NodeId
-from repro.net.nemesis import FaultInjector, RestartPolicy, build_schedule
+from repro.net.nemesis import RestartPolicy, build_schedule
 from repro.net.spec import build_spec
 
 
@@ -55,100 +52,3 @@ class TestRestartPolicy:
         assert delays[3] == 1.0  # capped
         assert delays[4] == 1.0
 
-
-class _RecordingTransport:
-    """Duck-typed stand-in for TcpTransport behind FaultInjector."""
-
-    def __init__(self, loop) -> None:
-        self.sent = []
-        self.registered = []
-        self.drops = 0
-
-        class _Kernel:
-            pass
-
-        self._kernel = _Kernel()
-        self._kernel._loop = loop
-
-    def register(self, node_id):
-        self.registered.append(node_id)
-        return f"mailbox:{node_id}"
-
-    def send(self, sender, recipient, payload, size=256, trace=None):
-        self.sent.append((sender, recipient, payload, size))
-
-    def drop_connections(self):
-        self.drops += 1
-
-
-class TestFaultInjector:
-    def test_passthrough_when_rates_are_zero(self) -> None:
-        async def scenario() -> None:
-            inner = _RecordingTransport(asyncio.get_running_loop())
-            injector = FaultInjector(inner=inner, seed=1)
-            assert injector.register(NodeId.client(0)) == (
-                f"mailbox:{NodeId.client(0)}"
-            )
-            for round_no in range(20):
-                injector.send(
-                    NodeId.client(0), NodeId.storage(0), round_no, size=8
-                )
-            assert len(inner.sent) == 20
-            assert injector.dropped == 0 and injector.delayed == 0
-
-        asyncio.run(scenario())
-
-    def test_drop_rate_one_drops_everything_forever(self) -> None:
-        async def scenario() -> None:
-            inner = _RecordingTransport(asyncio.get_running_loop())
-            injector = FaultInjector(inner=inner, seed=1, drop_rate=1.0)
-            for round_no in range(10):
-                injector.send(
-                    NodeId.client(0), NodeId.storage(0), round_no
-                )
-            await asyncio.sleep(0.05)  # nothing arrives later either
-            assert inner.sent == []
-            assert injector.dropped == 10
-
-        asyncio.run(scenario())
-
-    def test_delay_defers_but_delivers_exactly_once(self) -> None:
-        async def scenario() -> None:
-            inner = _RecordingTransport(asyncio.get_running_loop())
-            injector = FaultInjector(
-                inner=inner, seed=1, delay_rate=1.0, delay_seconds=0.02
-            )
-            injector.send(
-                NodeId.client(0), NodeId.storage(0), "spike", size=64
-            )
-            assert inner.sent == []  # not delivered synchronously
-            await asyncio.sleep(0.08)
-            assert inner.sent == [
-                (NodeId.client(0), NodeId.storage(0), "spike", 64)
-            ]
-            assert injector.delayed == 1
-
-        asyncio.run(scenario())
-
-    def test_reset_connections_forwards_to_transport(self) -> None:
-        async def scenario() -> None:
-            inner = _RecordingTransport(asyncio.get_running_loop())
-            injector = FaultInjector(inner=inner, seed=1)
-            injector.reset_connections()
-            injector.reset_connections()
-            assert inner.drops == 2
-            assert injector.resets == 2
-
-        asyncio.run(scenario())
-
-    def test_seeded_rates_are_reproducible(self) -> None:
-        async def scenario() -> tuple:
-            inner = _RecordingTransport(asyncio.get_running_loop())
-            injector = FaultInjector(inner=inner, seed=9, drop_rate=0.5)
-            for round_no in range(50):
-                injector.send(
-                    NodeId.client(0), NodeId.storage(0), round_no
-                )
-            return tuple(payload for *_args, payload, _s in inner.sent)
-
-        assert asyncio.run(scenario()) == asyncio.run(scenario())

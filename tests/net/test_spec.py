@@ -42,7 +42,9 @@ def test_build_spec_topology() -> None:
     ]
     assert [a.name for a in spec.proxies] == ["proxy-0", "proxy-1"]
     assert spec.initial_quorum() == QuorumConfig(read=2, write=4)
-    assert spec.initial_plan().default == spec.initial_quorum()
+    assert spec.shard_views()[0].initial_plan().default == (
+        spec.initial_quorum()
+    )
     assert len(spec.all_addresses()) == 8
     assert len(spec.directory()) == 8
 
@@ -50,10 +52,10 @@ def test_build_spec_topology() -> None:
 def test_ring_is_identical_across_reconstructions() -> None:
     """Every process derives placement from the spec; it must agree."""
     spec = build_spec(replicas=5)
-    first = spec.ring()
+    first = spec.shard_views()[0].ring()
     second = ClusterSpec.from_json(
         allocate_ports(spec).to_json()
-    ).ring()
+    ).shard_views()[0].ring()
     for object_id in ("obj-1", "alpha", "Ω"):
         assert first.replicas(object_id) == second.replicas(object_id)
 
@@ -203,7 +205,7 @@ class TestShardTopology:
         views = spec.shard_views()
         assert len(views) == 1
         assert views[0].name == "shard-0"
-        assert views[0].storage_ids() == spec.storage_ids()
+        assert views[0].replicas == tuple(spec.replicas)
         assert views[0].proxy_ids() == spec.proxy_ids()
         assert spec.shard_map().shard_names == ("shard-0",)
 

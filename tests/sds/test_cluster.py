@@ -6,9 +6,8 @@ import pytest
 
 from repro.common.config import ClusterConfig
 from repro.common.errors import ConfigurationError
-from repro.common.types import NodeId, QuorumConfig
 from repro.sds.client import OperationRecord
-from repro.sds.cluster import SwiftCluster, build_cluster
+from repro.sds.cluster import SwiftCluster
 from repro.workloads.generator import SyntheticWorkload, WorkloadSpec
 
 
@@ -24,10 +23,10 @@ class TestAssembly:
         assert len(small_cluster.proxies) == 2
         assert small_cluster.clients == []
 
-    def test_build_cluster_alias(self):
-        cluster = build_cluster(seed=3)
-        assert isinstance(cluster, SwiftCluster)
+    def test_default_config_builds_paper_testbed(self):
+        cluster = SwiftCluster(seed=3)
         assert len(cluster.storage_nodes) == 10
+        assert len(cluster.proxies) == 5
 
     def test_invalid_config_rejected_at_build(self):
         with pytest.raises(ConfigurationError):

@@ -18,6 +18,7 @@ from repro.sds.consistency import HistoryChecker
 from repro.shard.sim import ShardedSimCluster
 from repro.sim.nemesis import Nemesis
 
+from tests.determinism.test_timer_cancellation import run_pin
 from tests.shard.test_sim_cluster import fleet_config, roaming_workload
 
 SEED = 11
@@ -93,6 +94,15 @@ class TestCrossShardIndependence:
                 checker.record(record)
             checker.assert_consistent()
             checker.assert_linearizable()
+
+    def test_faulted_run_is_byte_identical(self) -> None:
+        """Pinned on the commit where the fleet still built its own
+        rings; any drift means the shared builder moved event order."""
+        assert run_pin(self.fault_cluster, self.faulted) == (
+            1003806,
+            38051,
+            "1c91c72452bf332920adb674fd223681d9030cad2e1ef1da50a7ec91ce049f3d",
+        )
 
     def test_shard_b_throughput_within_tolerance(self) -> None:
         baseline_b = completed(

@@ -24,6 +24,8 @@ from repro.sds.consistency import HistoryChecker
 from repro.shard.sim import SHARD_INDEX_STRIDE, ShardedSimCluster
 from repro.workloads.generator import SyntheticWorkload, WorkloadSpec
 
+from tests.determinism.test_timer_cancellation import run_pin
+
 FAST_AM = AutonomicConfig(
     round_duration=1.0, quarantine=0.2, top_k=6, gamma=2, theta=0.02
 )
@@ -168,6 +170,13 @@ class TestShardedFleet:
                     expected
                 }
         checker.assert_consistent()
+        # Recorded on the commit where the fleet still built its own
+        # rings and AM/Oracle pairs: one shared builder changed nothing.
+        assert run_pin(cluster, checker.records) == (
+            511251,
+            19536,
+            "b7b4a88ad26c9070c1f27dc3299c11e16306227450d5fc61f1febde139e044a9",
+        )
 
     def test_per_shard_initial_quorums(self) -> None:
         cluster = ShardedSimCluster(
