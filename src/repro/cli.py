@@ -16,13 +16,7 @@ import argparse
 import sys
 from typing import Callable, Optional, Sequence
 
-from repro.common.config import AutonomicConfig, ClusterConfig
-
-
-def _fast_am() -> AutonomicConfig:
-    return AutonomicConfig(
-        round_duration=2.0, quarantine=0.5, top_k=8, gamma=2, theta=0.02
-    )
+from repro.common.config import ClusterConfig
 
 
 def _cmd_figure2(args: argparse.Namespace) -> str:
@@ -58,11 +52,11 @@ def _cmd_oracle(args: argparse.Namespace) -> str:
 
 
 def _cmd_qopt_vs_static(args: argparse.Namespace) -> str:
-    from repro.harness.runtime import qopt_vs_static
+    from repro.harness.runtime import FAST_AUTONOMIC, qopt_vs_static
 
     scale = 0.5 if args.fast else 1.0
     result = qopt_vs_static(
-        autonomic_config=_fast_am(),
+        autonomic_config=FAST_AUTONOMIC,
         static_duration=8.0 * scale,
         static_warmup=2.0 * scale,
         qopt_duration=24.0 * scale,
@@ -80,11 +74,11 @@ def _cmd_reconfig_overhead(args: argparse.Namespace) -> str:
 
 
 def _cmd_dynamic(args: argparse.Namespace) -> str:
-    from repro.harness.runtime import dynamic_adaptation
+    from repro.harness.runtime import FAST_AUTONOMIC, dynamic_adaptation
 
     scale = 0.5 if args.fast else 1.0
     result = dynamic_adaptation(
-        autonomic_config=_fast_am(),
+        autonomic_config=FAST_AUTONOMIC,
         switch_time=20.0 * scale,
         duration=44.0 * scale,
         seed=args.seed,

@@ -268,7 +268,9 @@ def cmd_livesmoke(argv: Sequence[str]) -> int:
         prog="python -m repro livesmoke",
         description="CI smoke: boot cluster, load, reconfigure, verify.",
     )
-    _spec_arguments(parser)
+    parser.add_argument("--replicas", type=int, default=5)
+    parser.add_argument("--proxies", type=int, default=1)
+    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--clients", type=int, default=4)
     parser.add_argument(
         "--workload", choices=("a", "b", "c"), default="a"
@@ -295,7 +297,7 @@ def cmd_livesmoke(argv: Sequence[str]) -> int:
                 duration=args.duration,
                 clients=args.clients,
                 workload=args.workload,
-                seed=args.seed or 1,
+                seed=args.seed,
                 pipeline_depth=args.depth,
             )
         )

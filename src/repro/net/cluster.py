@@ -50,13 +50,16 @@ def allocate_ports(spec: ClusterSpec) -> ClusterSpec:
         return replace(address, port=port, http_port=http_port)
 
     try:
-        return replace(
-            spec,
-            replicas=[fill(a) for a in spec.replicas],
-            proxies=[fill(a) for a in spec.proxies],
-            manager=fill(spec.manager),
-            extra_managers=[fill(a) for a in spec.extra_managers],
+        shards = tuple(
+            replace(
+                shard,
+                replicas=tuple(fill(a) for a in shard.replicas),
+                proxies=tuple(fill(a) for a in shard.proxies),
+                manager=fill(shard.manager),
+            )
+            for shard in spec.shards
         )
+        return replace(spec, shards=shards)
     finally:
         for sock in held:
             sock.close()

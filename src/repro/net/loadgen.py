@@ -85,7 +85,7 @@ class PhaseResult:
     failed: int
     retries: int
     latencies: Dict[str, Dict[str, float]]
-    #: Completed operations per shard (empty for unsharded runs).
+    #: Completed operations per shard (empty for single-ring runs).
     shard_operations: Dict[str, int] = field(default_factory=dict)
     #: Per-op-type mergeable latency histograms for this phase.  These —
     #: not the per-phase percentiles — are what cross-phase/cross-shard
@@ -211,7 +211,7 @@ class LoadgenResult:
 
     phases: List[PhaseResult]
     reconfig_seconds: Optional[float]
-    #: Wing-Gong verdict per shard; an unsharded run is one ``shard-0``.
+    #: Wing-Gong verdict per shard; a single-ring run is one ``shard-0``.
     shard_outcomes: List[ShardOutcome]
     records: List[OperationRecord] = field(default_factory=list)
     #: Worker exit codes, workers found dead before shutdown and their
@@ -433,19 +433,16 @@ class LoadGenerator:
         self._next_client_index = 0
         #: Per-phase latency samples, collected via the per-phase logs.
         self._phases: List[PhaseResult] = []
-        #: Key→shard map; single implicit shard for pre-shard specs.
+        #: Key→shard map (one shard owns every key on a single ring).
         self.shard_map = spec.shard_map()
-        #: Shard-aware router, only for sharded fleets: every client
-        #: routes each operation key→shard→proxy.  Unsharded runs keep
-        #: the historical static client→proxy binding.
+        #: Shard-aware router, only for fleets of two or more shards:
+        #: every client routes each operation key→shard→proxy.  A single
+        #: ring keeps the static client→proxy binding.
         self.router: Optional[ShardRouter] = None
-        if spec.is_sharded():
+        if len(spec.shards) > 1:
             self.router = ShardRouter(
                 self.shard_map,
-                {
-                    view.name: view.proxy_ids()
-                    for view in spec.shard_views()
-                },
+                {shard.name: shard.proxy_ids() for shard in spec.shards},
             )
 
     @property
@@ -572,7 +569,7 @@ class LoadGenerator:
         for latency in writes:
             write_hist.observe(latency)
         shard_operations: Dict[str, int] = {}
-        if self.spec.is_sharded():
+        if self.router is not None:
             shard_operations = {
                 name: 0 for name in self.shard_map.shard_names
             }
@@ -609,7 +606,7 @@ class LoadGenerator:
         the first when it differs from the spec's initial quorum)."""
         for position, write_quorum in enumerate(write_quorums):
             if position > 0 or (
-                write_quorum != self.spec.initial_write_quorum
+                write_quorum != self.spec.shards[0].write_quorum
             ):
                 await self.reconfigure(write_quorum)
             await self.run_phase(
@@ -639,15 +636,15 @@ class LoadGenerator:
     ) -> float:
         """Drive a live reconfiguration of one shard; returns wall seconds.
 
-        ``shard=None`` targets shard 0 — exactly the historical global
-        reconfiguration on an unsharded fleet.  Sharded fleets name the
-        shard; its manager runs the two-phase change and the router's
+        ``shard=None`` targets shard 0 — the whole fleet on a single
+        ring.  Its manager runs the two-phase change and the router's
         entry for that shard refreshes from the new epoch.
         """
         assert self.kernel is not None
-        views = {view.name: view for view in self.spec.shard_views()}
-        view = views[shard] if shard is not None else self.spec.shard_views()[0]
-        manager = view.manager
+        target = self.spec.shards[0]
+        if shard is not None:
+            target = {s.name: s for s in self.spec.shards}[shard]
+        manager = target.manager
         begin = self.kernel.tick()
         status, body = await http_get(
             manager.host,
@@ -657,14 +654,14 @@ class LoadGenerator:
         )
         if status != 200:
             raise RuntimeError(
-                f"reconfiguration of {view.name} failed: {status} {body!r}"
+                f"reconfiguration of {target.name} failed: {status} {body!r}"
             )
         if self.router is not None:
             # The manager reports the installed epoch; feeding it to the
             # router is the routing-table refresh for this shard.
             match = re.search(r"epoch=(\d+)", body)
             if match:
-                self.router.note_epoch(view.name, int(match.group(1)))
+                self.router.note_epoch(target.name, int(match.group(1)))
         took = self.kernel.tick() - begin
         self.reconfig_seconds = (self.reconfig_seconds or 0.0) + took
         return took
@@ -676,8 +673,8 @@ class LoadGenerator:
         if self.router is None:
             return []
         epochs: Dict[str, int] = {}
-        for view in self.spec.shard_views():
-            manager = view.manager
+        for shard in self.spec.shards:
+            manager = shard.manager
             status, body = await http_get(
                 manager.host, manager.http_port, "/healthz", timeout=5.0
             )
@@ -685,7 +682,7 @@ class LoadGenerator:
                 continue
             match = re.search(r"epoch=(-?\d+)", body)
             if match:
-                epochs[view.name] = int(match.group(1))
+                epochs[shard.name] = int(match.group(1))
         return self.router.note_epochs(epochs)
 
     # -- reporting -----------------------------------------------------------
@@ -697,12 +694,12 @@ class LoadGenerator:
 
         Sharding makes the split sound, not just cheaper: objects never
         span shards, linearizability is local to an object's shard, and
-        the per-shard verdicts compose into the fleet verdict.  An
-        unsharded spec is one implicit ``shard-0`` holding the whole
-        history.  Reads that completed without observing any write decode
-        against the register's initial value; the checker handles that
-        natively.  ``linearizable`` is ``None`` when the search budget
-        was exceeded.  The budget is sized for pipelined fleets: depth
+        the per-shard verdicts compose into the fleet verdict.  A single
+        ring is one ``shard-0`` holding the whole history.  Reads that
+        completed without observing any write decode against the
+        register's initial value; the checker handles that natively.
+        ``linearizable`` is ``None`` when the search budget was
+        exceeded.  The budget is sized for pipelined fleets: depth
         ``d`` clients keep ``d`` operations per client concurrent, which
         widens every Wing-Gong chunk the search must clear.
         """

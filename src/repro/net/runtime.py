@@ -24,7 +24,7 @@ from repro.common.rng import substream
 from repro.common.types import NodeId, NodeKind, QuorumConfig
 from repro.net.httpd import Handler, MiniHttpServer
 from repro.net.kernel import RealtimeKernel
-from repro.net.spec import ClusterSpec, NodeAddress, ShardView
+from repro.net.spec import ClusterSpec, NodeAddress, Shard
 from repro.net.tcp import TcpTransport
 from repro.obs.context import Observability
 from repro.obs.exporters import to_prometheus_text
@@ -60,9 +60,9 @@ class NodeRuntime:
         self.spec = spec
         self.address: NodeAddress = spec.address_of(node_name)
         self.node_id = self.address.node_id
-        #: The shard this process belongs to.  For pre-shard specs this
-        #: is the implicit whole-fleet shard, so nothing changes.
-        self.shard: ShardView = spec.shard_for(node_name)
+        #: The shard this process belongs to (the whole fleet when the
+        #: spec has one shard).
+        self.shard: Shard = spec.shard_for(node_name)
         self.kernel: RealtimeKernel = RealtimeKernel()
         self.obs = Observability(
             tracing=False, clock=lambda: self.kernel.now
@@ -92,7 +92,7 @@ class NodeRuntime:
         shard = self.shard
         kind = self.node_id.kind
         # Every protocol object sees only its shard's topology: ring,
-        # membership and initial plan all come from the shard view, so a
+        # membership and initial plan all come from the shard, so a
         # shard is a complete, independent Q-OPT instance.
         plan = shard.initial_plan()
         if kind == NodeKind.STORAGE.value:

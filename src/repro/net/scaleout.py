@@ -184,6 +184,15 @@ async def run_scaleout(
     quorums = [3] * shards
     quorums[0] = min(4, replicas)
     quorums[1] = 2
+    fleet = build_spec(
+        replicas=replicas,
+        proxies=1,
+        write_quorum=write_quorum,
+        seed=seed,
+        shards=shards,
+        shard_write_quorums=quorums,
+    )
+    wide, narrow = fleet.shards[:2]
 
     async def storm(
         generator: LoadGenerator, cluster: LocalCluster
@@ -206,8 +215,8 @@ async def run_scaleout(
             generator.run_phase(
                 name="reconfig-storm", duration=duration, write_quorum=2
             ),
-            flip("shard-0", 2),
-            flip("shard-1", min(4, replicas)),
+            flip(wide.name, narrow.write_quorum),
+            flip(narrow.name, wide.write_quorum),
         )
         await generator.run_phase(
             name="post-reconfig", duration=duration, write_quorum=2
@@ -224,14 +233,6 @@ async def run_scaleout(
             ),
         )
 
-    fleet = build_spec(
-        replicas=replicas,
-        proxies=1,
-        write_quorum=write_quorum,
-        seed=seed,
-        shards=shards,
-        shard_write_quorums=quorums,
-    )
     return await run_live(fleet, storm, **load)
 
 

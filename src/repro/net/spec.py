@@ -9,17 +9,21 @@ now pays in real CPU, syscalls and wire time, so the live configs zero
 out the modelled service times and keep only the protocol-level knobs
 (deadlines, retry budgets, anti-entropy cadence).
 
-**Sharding** (spec version 2): the fleet's keyspace can be partitioned
-into independent shards, each with its own replica set, proxy set,
-reconfiguration manager, placement ring and initial quorum.  A version-1
-spec (no shard map) is still parsed — and serialized — byte-identically:
-it denotes the degenerate single-shard fleet, so every pre-shard
-consumer keeps working unchanged.
+**Topology:** a fleet is a non-empty list of shards (:class:`Shard`),
+each a complete Q-OPT instance — replica set, proxy set, reconfiguration
+manager, placement ring and initial quorum — owning a disjoint slice of
+the keyspace.  The classic single-ring cluster is simply S = 1.
+
+**File format:** only JSON knows about versions.  Version 1 (no shard
+map) is the form of a one-shard spec; version 2 adds the shard map,
+which names its nodes and is resolved against the address lists on
+load.  Both parse and serialize byte-identically.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -34,9 +38,11 @@ from repro.shard.map import ShardMap
 #: is still read and written unchanged; version 2 adds the shard map.
 SPEC_VERSION = 2
 
-#: The version emitted for specs without a shard map (backward compat:
-#: pre-shard specs must round-trip byte-identically).
+#: The version emitted for one-shard specs: no shard map.
 _SINGLE_SHARD_VERSION = 1
+
+#: The name a version-1 file gives its one shard.
+_SINGLE_SHARD_NAME = "shard-0"
 
 
 def parse_node_name(name: str) -> NodeId:
@@ -62,32 +68,9 @@ class NodeAddress:
 
 
 @dataclass(frozen=True)
-class ShardSpec:
-    """One shard of the fleet: node names plus quorum parameters.
+class Shard:
+    """One independent Q-OPT instance: its nodes and initial quorum."""
 
-    Node *names* (not addresses) keep the shard map readable and make
-    malformed maps checkable: every name must resolve against the spec's
-    address lists, exactly once across all shards.
-    """
-
-    name: str
-    replicas: Tuple[str, ...]
-    proxies: Tuple[str, ...]
-    manager: str
-    write_quorum: int
-    replication_degree: int
-
-    def initial_quorum(self) -> QuorumConfig:
-        return QuorumConfig.from_write(
-            self.write_quorum, self.replication_degree
-        )
-
-
-@dataclass(frozen=True)
-class ShardView:
-    """A shard's resolved topology: addresses, ring, initial plan."""
-
-    index: int
     name: str
     replicas: Tuple[NodeAddress, ...]
     proxies: Tuple[NodeAddress, ...]
@@ -117,60 +100,26 @@ class ShardView:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClusterSpec:
     """Topology + tuning of one live fleet, as shipped between processes."""
 
-    replicas: List[NodeAddress]
-    proxies: List[NodeAddress]
-    manager: NodeAddress
-    replication_degree: int = 5
-    initial_write_quorum: int = 3
+    #: The fleet's shards; never empty.  Shard 0 is the whole fleet when
+    #: there is only one.
+    shards: Tuple[Shard, ...]
     seed: int = 0
     #: Root of per-replica durable state (``<data_dir>/<node-name>/``).
     #: ``None`` keeps replicas on the in-memory backend — the default, so
     #: existing smoke/bench flows are untouched; the chaos harness sets
     #: it to give every storage node a crash-recoverable WAL.
     data_dir: Optional[str] = None
-    version: int = SPEC_VERSION
     storage: StorageConfig = field(default_factory=lambda: live_storage_config())
     proxy: ProxyConfig = field(default_factory=lambda: live_proxy_config())
     client: ClientConfig = field(default_factory=lambda: live_client_config())
-    #: Reconfiguration managers of shards 1..S-1 (:attr:`manager` is
-    #: shard 0's).  Empty for single-shard specs.
-    extra_managers: List[NodeAddress] = field(default_factory=list)
-    #: The shard map.  Empty = one implicit shard spanning everything,
-    #: which is exactly the pre-shard (version 1) topology.
-    shards: List[ShardSpec] = field(default_factory=list)
-
-    # -- derived topology ----------------------------------------------------
 
     def validate(self) -> "ClusterSpec":
-        if not self.replicas:
-            raise ConfigurationError("spec needs at least one replica")
-        if not self.proxies:
-            raise ConfigurationError("spec needs at least one proxy")
-        if self.replication_degree > len(self.replicas) and not self.shards:
-            raise ConfigurationError(
-                f"replication degree {self.replication_degree} exceeds "
-                f"replica count {len(self.replicas)}"
-            )
         if not self.shards:
-            if self.extra_managers:
-                raise ConfigurationError(
-                    "extra managers require a shard map: a single-shard "
-                    "spec has exactly one reconfiguration manager"
-                )
-            self.initial_quorum()  # raises unless 1 <= W <= N
-        else:
-            self._validate_shard_map()
-        self.storage.validate()
-        self.proxy.validate()
-        self.client.validate()
-        return self
-
-    def _validate_shard_map(self) -> None:
-        """Explicit, named errors for every way a shard map can be wrong."""
+            raise ConfigurationError("spec needs at least one shard")
         names = [shard.name for shard in self.shards]
         if len(set(names)) != len(names):
             raise ConfigurationError(
@@ -178,14 +127,6 @@ class ClusterSpec:
             )
         if any(not name for name in names):
             raise ConfigurationError("shard names must be non-empty")
-        replica_names = {address.name for address in self.replicas}
-        proxy_names = {address.name for address in self.proxies}
-        manager_names = {
-            address.name for address in self.all_managers()
-        }
-        assigned_replicas: Dict[str, str] = {}
-        assigned_proxies: Dict[str, str] = {}
-        assigned_managers: Dict[str, str] = {}
         for shard in self.shards:
             if not shard.replicas:
                 raise ConfigurationError(
@@ -195,42 +136,6 @@ class ClusterSpec:
                 raise ConfigurationError(
                     f"shard {shard.name!r} has no proxies"
                 )
-            for node in shard.replicas:
-                if node not in replica_names:
-                    raise ConfigurationError(
-                        f"shard {shard.name!r} references unknown replica "
-                        f"{node!r}"
-                    )
-                if node in assigned_replicas:
-                    raise ConfigurationError(
-                        f"replica {node!r} assigned to both "
-                        f"{assigned_replicas[node]!r} and {shard.name!r}"
-                    )
-                assigned_replicas[node] = shard.name
-            for node in shard.proxies:
-                if node not in proxy_names:
-                    raise ConfigurationError(
-                        f"shard {shard.name!r} references unknown proxy "
-                        f"{node!r}"
-                    )
-                if node in assigned_proxies:
-                    raise ConfigurationError(
-                        f"proxy {node!r} assigned to both "
-                        f"{assigned_proxies[node]!r} and {shard.name!r}"
-                    )
-                assigned_proxies[node] = shard.name
-            if shard.manager not in manager_names:
-                raise ConfigurationError(
-                    f"shard {shard.name!r} references unknown manager "
-                    f"{shard.manager!r}"
-                )
-            if shard.manager in assigned_managers:
-                raise ConfigurationError(
-                    f"manager {shard.manager!r} assigned to both "
-                    f"{assigned_managers[shard.manager]!r} and "
-                    f"{shard.name!r}"
-                )
-            assigned_managers[shard.manager] = shard.name
             if shard.replication_degree > len(shard.replicas):
                 raise ConfigurationError(
                     f"shard {shard.name!r}: replication degree "
@@ -238,88 +143,39 @@ class ClusterSpec:
                     f"{len(shard.replicas)} replicas"
                 )
             shard.initial_quorum()  # raises unless 1 <= W <= N
-        unassigned_replicas = sorted(replica_names - set(assigned_replicas))
-        if unassigned_replicas:
-            raise ConfigurationError(
-                f"replicas not in any shard: {unassigned_replicas}"
-            )
-        unassigned_proxies = sorted(proxy_names - set(assigned_proxies))
-        if unassigned_proxies:
-            raise ConfigurationError(
-                f"proxies not in any shard: {unassigned_proxies}"
-            )
-        unassigned_managers = sorted(manager_names - set(assigned_managers))
-        if unassigned_managers:
-            raise ConfigurationError(
-                f"managers not in any shard: {unassigned_managers}"
-            )
+        counts = Counter(address.name for address in self.all_addresses())
+        reused = sorted(name for name, count in counts.items() if count > 1)
+        if reused:
+            raise ConfigurationError(f"node names used twice: {reused}")
+        self.storage.validate()
+        self.proxy.validate()
+        self.client.validate()
+        return self
 
-    def initial_quorum(self) -> QuorumConfig:
-        return QuorumConfig.from_write(
-            self.initial_write_quorum, self.replication_degree
-        )
+    # -- derived topology ----------------------------------------------------
+
+    @property
+    def replicas(self) -> List[NodeAddress]:
+        return [a for shard in self.shards for a in shard.replicas]
+
+    @property
+    def proxies(self) -> List[NodeAddress]:
+        return [a for shard in self.shards for a in shard.proxies]
+
+    @property
+    def manager(self) -> NodeAddress:
+        """Shard 0's reconfiguration manager."""
+        return self.shards[0].manager
 
     def proxy_ids(self) -> List[NodeId]:
         return [address.node_id for address in self.proxies]
 
-    # -- shard topology -------------------------------------------------------
-
-    def is_sharded(self) -> bool:
-        return bool(self.shards)
-
-    def shard_views(self) -> List[ShardView]:
-        """Resolved shard topologies; a single implicit shard when the
-        spec predates (or does not use) the shard map."""
-        if not self.shards:
-            return [
-                ShardView(
-                    index=0,
-                    name="shard-0",
-                    replicas=tuple(self.replicas),
-                    proxies=tuple(self.proxies),
-                    manager=self.manager,
-                    write_quorum=self.initial_write_quorum,
-                    replication_degree=self.replication_degree,
-                )
-            ]
-        by_name = {
-            address.name: address for address in self.all_addresses()
-        }
-        return [
-            ShardView(
-                index=index,
-                name=shard.name,
-                replicas=tuple(by_name[n] for n in shard.replicas),
-                proxies=tuple(by_name[n] for n in shard.proxies),
-                manager=by_name[shard.manager],
-                write_quorum=shard.write_quorum,
-                replication_degree=shard.replication_degree,
-            )
-            for index, shard in enumerate(self.shards)
-        ]
-
-    def shard_for(self, node_name: str) -> ShardView:
-        """The shard hosting ``node_name`` (every node is in exactly one)."""
-        for view in self.shard_views():
-            members = (
-                {a.name for a in view.replicas}
-                | {a.name for a in view.proxies}
-                | {view.manager.name}
-            )
-            if node_name in members:
-                return view
-        raise ConfigurationError(f"node {node_name!r} not in any shard")
-
-    def shard_map(self) -> ShardMap:
-        """The key→shard partition every process agrees on."""
-        return ShardMap([view.name for view in self.shard_views()])
-
-    def all_managers(self) -> List[NodeAddress]:
-        return [self.manager] + list(self.extra_managers)
-
     def all_addresses(self) -> List[NodeAddress]:
+        """Every node: replicas, then proxies, then managers."""
         return (
-            list(self.replicas) + list(self.proxies) + self.all_managers()
+            self.replicas
+            + self.proxies
+            + [shard.manager for shard in self.shards]
         )
 
     def address_of(self, name: str) -> NodeAddress:
@@ -335,6 +191,18 @@ class ClusterSpec:
             for address in self.all_addresses()
         }
 
+    def shard_for(self, node_name: str) -> Shard:
+        """The shard hosting ``node_name`` (every node is in exactly one)."""
+        for shard in self.shards:
+            members = shard.replicas + shard.proxies + (shard.manager,)
+            if any(address.name == node_name for address in members):
+                return shard
+        raise ConfigurationError(f"node {node_name!r} not in any shard")
+
+    def shard_map(self) -> ShardMap:
+        """The key→shard partition every process agrees on."""
+        return ShardMap([shard.name for shard in self.shards])
+
     # -- JSON ----------------------------------------------------------------
 
     def to_json(self) -> str:
@@ -346,31 +214,33 @@ class ClusterSpec:
                 "http_port": address.http_port,
             }
 
+        first = self.shards[0]
+        single = len(self.shards) == 1 and first.name == _SINGLE_SHARD_NAME
+        # The top-level quorum fields are shard 0's; in version 2 they
+        # only mirror the shard map.
         payload: Dict[str, object] = {
-            "version": (
-                _SINGLE_SHARD_VERSION if not self.shards else SPEC_VERSION
-            ),
-            "replication_degree": self.replication_degree,
-            "initial_write_quorum": self.initial_write_quorum,
+            "version": _SINGLE_SHARD_VERSION if single else SPEC_VERSION,
+            "replication_degree": first.replication_degree,
+            "initial_write_quorum": first.write_quorum,
             "seed": self.seed,
             "data_dir": self.data_dir,
             "replicas": [addr(a) for a in self.replicas],
             "proxies": [addr(a) for a in self.proxies],
-            "manager": addr(self.manager),
+            "manager": addr(first.manager),
             "storage": vars(self.storage),
             "proxy": vars(self.proxy),
             "client": vars(self.client),
         }
-        if self.shards:
+        if not single:
             payload["extra_managers"] = [
-                addr(a) for a in self.extra_managers
+                addr(shard.manager) for shard in self.shards[1:]
             ]
             payload["shards"] = [
                 {
                     "name": shard.name,
-                    "replicas": list(shard.replicas),
-                    "proxies": list(shard.proxies),
-                    "manager": shard.manager,
+                    "replicas": [a.name for a in shard.replicas],
+                    "proxies": [a.name for a in shard.proxies],
+                    "manager": shard.manager.name,
                     "write_quorum": shard.write_quorum,
                     "replication_degree": shard.replication_degree,
                 }
@@ -387,78 +257,134 @@ class ClusterSpec:
                 f"spec version {version!r} not in "
                 f"({_SINGLE_SHARD_VERSION}, {SPEC_VERSION})"
             )
-
-        def addr(data: dict) -> NodeAddress:
-            return NodeAddress(
-                name=data["name"],
-                host=data["host"],
-                port=int(data["port"]),
-                http_port=int(data["http_port"]),
-            )
-
-        extra_managers: List[NodeAddress] = []
-        shards: List[ShardSpec] = []
+        replicas = [_address(a) for a in raw["replicas"]]
+        proxies = [_address(a) for a in raw["proxies"]]
+        manager = _address(raw["manager"])
         if version == SPEC_VERSION:
-            extra_managers = [
-                addr(a) for a in raw.get("extra_managers", [])
+            managers = [manager] + [
+                _address(a) for a in raw.get("extra_managers", [])
             ]
-            for entry in raw.get("shards", []):
-                if not isinstance(entry, dict):
-                    raise ConfigurationError(
-                        f"malformed shard entry: {entry!r}"
-                    )
-                missing = [
-                    key
-                    for key in (
-                        "name", "replicas", "proxies", "manager",
-                        "write_quorum", "replication_degree",
-                    )
-                    if key not in entry
-                ]
-                if missing:
-                    raise ConfigurationError(
-                        f"shard entry missing keys {missing}: {entry!r}"
-                    )
-                shards.append(
-                    ShardSpec(
-                        name=str(entry["name"]),
-                        replicas=tuple(str(n) for n in entry["replicas"]),
-                        proxies=tuple(str(n) for n in entry["proxies"]),
-                        manager=str(entry["manager"]),
-                        write_quorum=int(entry["write_quorum"]),
-                        replication_degree=int(entry["replication_degree"]),
-                    )
-                )
-            if not shards:
-                raise ConfigurationError(
-                    f"version {SPEC_VERSION} spec must carry a non-empty "
-                    "shard map (use version 1 for single-shard specs)"
-                )
+            shards = _resolve_shard_map(
+                raw.get("shards", []), replicas, proxies, managers
+            )
         elif "shards" in raw or "extra_managers" in raw:
             raise ConfigurationError(
                 "version 1 spec cannot carry a shard map; bump to "
                 f"version {SPEC_VERSION}"
             )
-
+        else:
+            shards = [
+                Shard(
+                    name=_SINGLE_SHARD_NAME,
+                    replicas=tuple(replicas),
+                    proxies=tuple(proxies),
+                    manager=manager,
+                    write_quorum=int(raw["initial_write_quorum"]),
+                    replication_degree=int(raw["replication_degree"]),
+                )
+            ]
         return ClusterSpec(
-            replicas=[addr(a) for a in raw["replicas"]],
-            proxies=[addr(a) for a in raw["proxies"]],
-            manager=addr(raw["manager"]),
-            replication_degree=int(raw["replication_degree"]),
-            initial_write_quorum=int(raw["initial_write_quorum"]),
+            shards=tuple(shards),
             seed=int(raw["seed"]),
             data_dir=raw.get("data_dir"),
             storage=StorageConfig(**raw["storage"]),
             proxy=ProxyConfig(**raw["proxy"]),
             client=ClientConfig(**raw["client"]),
-            extra_managers=extra_managers,
-            shards=shards,
         ).validate()
 
     @staticmethod
     def load(path: str) -> "ClusterSpec":
         with open(path, "r", encoding="utf-8") as handle:
             return ClusterSpec.from_json(handle.read())
+
+
+def _address(data: dict) -> NodeAddress:
+    return NodeAddress(
+        name=data["name"],
+        host=data["host"],
+        port=int(data["port"]),
+        http_port=int(data["http_port"]),
+    )
+
+
+def _resolve_shard_map(
+    entries: Sequence[object],
+    replicas: Sequence[NodeAddress],
+    proxies: Sequence[NodeAddress],
+    managers: Sequence[NodeAddress],
+) -> List[Shard]:
+    """Resolve a version-2 shard map of node names into shards.
+
+    The map is outside input, so every way it can be wrong gets a named
+    error: each name must resolve against its address list, and every
+    listed node must land in exactly one shard.
+    """
+    pools = {
+        "replica": {a.name: a for a in replicas},
+        "proxy": {a.name: a for a in proxies},
+        "manager": {a.name: a for a in managers},
+    }
+    owners: Dict[str, Dict[str, str]] = {kind: {} for kind in pools}
+
+    def take(kind: str, node: str, shard: str) -> NodeAddress:
+        if node not in pools[kind]:
+            raise ConfigurationError(
+                f"shard {shard!r} references unknown {kind} {node!r}"
+            )
+        owner = owners[kind]
+        if node in owner:
+            raise ConfigurationError(
+                f"{kind} {node!r} assigned to both {owner[node]!r} "
+                f"and {shard!r}"
+            )
+        owner[node] = shard
+        return pools[kind][node]
+
+    shards: List[Shard] = []
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise ConfigurationError(f"malformed shard entry: {entry!r}")
+        missing = [
+            key
+            for key in (
+                "name", "replicas", "proxies", "manager",
+                "write_quorum", "replication_degree",
+            )
+            if key not in entry
+        ]
+        if missing:
+            raise ConfigurationError(
+                f"shard entry missing keys {missing}: {entry!r}"
+            )
+        name = str(entry["name"])
+        shards.append(
+            Shard(
+                name=name,
+                replicas=tuple(
+                    take("replica", str(n), name) for n in entry["replicas"]
+                ),
+                proxies=tuple(
+                    take("proxy", str(n), name) for n in entry["proxies"]
+                ),
+                manager=take("manager", str(entry["manager"]), name),
+                write_quorum=int(entry["write_quorum"]),
+                replication_degree=int(entry["replication_degree"]),
+            )
+        )
+    if not shards:
+        raise ConfigurationError(
+            f"version {SPEC_VERSION} spec must carry a non-empty "
+            "shard map (use version 1 for single-shard specs)"
+        )
+    for kind, plural in (
+        ("replica", "replicas"), ("proxy", "proxies"), ("manager", "managers")
+    ):
+        left_out = sorted(set(pools[kind]) - set(owners[kind]))
+        if left_out:
+            raise ConfigurationError(
+                f"{plural} not in any shard: {left_out}"
+            )
+    return shards
 
 
 # -- live profiles -----------------------------------------------------------
@@ -529,8 +455,8 @@ def build_spec(
     shard.  ``shard_write_quorums`` overrides the initial W per shard
     (e.g. ``[4, 2]`` arms the concurrent-reconfiguration benchmark with
     one shard about to shrink W and another about to grow it).
-    ``shards=1`` (the default) emits the pre-shard version-1 spec,
-    byte-for-byte.
+    ``shards=1`` (the default) is the single-ring cluster, written to
+    JSON as a version-1 spec.
 
     ``lease_duration > 0`` enables per-object read leases (invariant
     I7) cluster-wide: every proxy spawned from the spec applies the
@@ -545,87 +471,57 @@ def build_spec(
             f"need one write quorum per shard: got "
             f"{len(shard_write_quorums)} for {shards} shards"
         )
+    quorums = list(shard_write_quorums or [write_quorum] * shards)
 
     offsets = iter(range(10_000))
 
-    def ports() -> Tuple[int, int]:
+    def address(node_id: NodeId) -> NodeAddress:
         offset = next(offsets)
-        if base_port == 0:
-            return (0, 0)
-        return (base_port + 2 * offset, base_port + 2 * offset + 1)
-
-    def address(name: str) -> NodeAddress:
-        port, http_port = ports()
+        port, http_port = (
+            (base_port + 2 * offset, base_port + 2 * offset + 1)
+            if base_port
+            else (0, 0)
+        )
         return NodeAddress(
-            name=name, host=host, port=port, http_port=http_port
+            name=str(node_id), host=host, port=port, http_port=http_port
         )
 
+    # Ports are numbered in all_addresses() order: every replica, then
+    # every proxy, then every manager.
+    storage = [address(NodeId.storage(i)) for i in range(shards * replicas)]
+    proxy = [address(NodeId.proxy(i)) for i in range(shards * proxies)]
+    managers = [
+        address(NodeId(NodeKind.RECONFIG_MANAGER.value, i))
+        for i in range(shards)
+    ]
     degree = replication_degree if replication_degree is not None else replicas
-    replica_addresses = [
-        address(str(NodeId.storage(index)))
-        for index in range(shards * replicas)
-    ]
-    proxy_addresses = [
-        address(str(NodeId.proxy(index)))
-        for index in range(shards * proxies)
-    ]
-    manager_addresses = [
-        address(str(NodeId(NodeKind.RECONFIG_MANAGER.value, index)))
-        for index in range(shards)
-    ]
-    shard_specs: List[ShardSpec] = []
-    if shards > 1:
-        for index in range(shards):
-            shard_specs.append(
-                ShardSpec(
-                    name=f"shard-{index}",
-                    replicas=tuple(
-                        a.name
-                        for a in replica_addresses[
-                            index * replicas:(index + 1) * replicas
-                        ]
-                    ),
-                    proxies=tuple(
-                        a.name
-                        for a in proxy_addresses[
-                            index * proxies:(index + 1) * proxies
-                        ]
-                    ),
-                    manager=manager_addresses[index].name,
-                    write_quorum=(
-                        shard_write_quorums[index]
-                        if shard_write_quorums is not None
-                        else write_quorum
-                    ),
-                    replication_degree=degree,
-                )
-            )
     proxy_config = live_proxy_config()
     if lease_duration > 0:
         proxy_config = replace(proxy_config, lease_duration=lease_duration)
     return ClusterSpec(
-        replicas=replica_addresses,
-        proxies=proxy_addresses,
-        proxy=proxy_config,
-        manager=manager_addresses[0],
-        replication_degree=degree,
-        initial_write_quorum=(
-            shard_write_quorums[0]
-            if shards > 1 and shard_write_quorums is not None
-            else write_quorum
+        shards=tuple(
+            Shard(
+                name=f"shard-{index}",
+                replicas=tuple(
+                    storage[index * replicas:(index + 1) * replicas]
+                ),
+                proxies=tuple(proxy[index * proxies:(index + 1) * proxies]),
+                manager=managers[index],
+                write_quorum=quorums[index],
+                replication_degree=degree,
+            )
+            for index in range(shards)
         ),
+        proxy=proxy_config,
         seed=seed,
         data_dir=data_dir,
-        extra_managers=manager_addresses[1:],
-        shards=shard_specs,
     ).validate()
 
 
 __all__ = [
     "SPEC_VERSION",
     "NodeAddress",
-    "ShardSpec",
-    "ShardView",
+    "Shard",
     "ClusterSpec",
     "parse_node_name",
     "build_spec",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import pathlib
 
 import pytest
@@ -12,7 +13,6 @@ from repro.common.types import NodeId, QuorumConfig
 from repro.net.cluster import allocate_ports
 from repro.net.spec import (
     ClusterSpec,
-    ShardSpec,
     build_spec,
     parse_node_name,
 )
@@ -41,10 +41,9 @@ def test_build_spec_topology() -> None:
         f"storage-{i}" for i in range(5)
     ]
     assert [a.name for a in spec.proxies] == ["proxy-0", "proxy-1"]
-    assert spec.initial_quorum() == QuorumConfig(read=2, write=4)
-    assert spec.shard_views()[0].initial_plan().default == (
-        spec.initial_quorum()
-    )
+    (shard,) = spec.shards
+    assert shard.initial_quorum() == QuorumConfig(read=2, write=4)
+    assert shard.initial_plan().default == shard.initial_quorum()
     assert len(spec.all_addresses()) == 8
     assert len(spec.directory()) == 8
 
@@ -52,10 +51,10 @@ def test_build_spec_topology() -> None:
 def test_ring_is_identical_across_reconstructions() -> None:
     """Every process derives placement from the spec; it must agree."""
     spec = build_spec(replicas=5)
-    first = spec.shard_views()[0].ring()
+    first = spec.shards[0].ring()
     second = ClusterSpec.from_json(
         allocate_ports(spec).to_json()
-    ).shard_views()[0].ring()
+    ).shards[0].ring()
     for object_id in ("obj-1", "alpha", "Ω"):
         assert first.replicas(object_id) == second.replicas(object_id)
 
@@ -103,12 +102,12 @@ def test_allocate_ports_respects_fixed_ports() -> None:
 
 
 class TestVersionedFormat:
-    """The spec format is now versioned: version 1 (single ring) must
-    keep round-tripping byte-for-byte, version 2 adds the shard map."""
+    """The spec format is versioned: version 1 (single ring) and
+    version 2 (with the shard map) both round-trip byte-for-byte."""
 
     @pytest.mark.parametrize(
         "fixture",
-        sorted(path.name for path in FIXTURES.glob("spec_v1_*.json")),
+        sorted(path.name for path in FIXTURES.glob("spec_v*_*.json")),
     )
     def test_every_pre_shard_fixture_round_trips_byte_identically(
         self, fixture
@@ -149,6 +148,17 @@ class TestVersionedFormat:
         assert clone == spec
         assert clone.to_json() == text
 
+    def test_a_named_single_shard_keeps_version_2(self) -> None:
+        """Version 1 has no room for a shard name, so only the default
+        one-shard spec is written in it."""
+        spec = build_spec()
+        renamed = dataclasses.replace(
+            spec, shards=(dataclasses.replace(spec.shards[0], name="solo"),)
+        )
+        text = renamed.to_json()
+        assert '"version": 2' in text
+        assert ClusterSpec.from_json(text) == renamed
+
     def test_version_1_spec_cannot_smuggle_a_shard_map(self) -> None:
         text = build_spec(shards=2).to_json().replace(
             '"version": 2', '"version": 1'
@@ -164,12 +174,10 @@ class TestVersionedFormat:
             ClusterSpec.from_json(text)
 
     def test_shard_entry_with_missing_keys_rejected(self) -> None:
-        import json as _json
-
-        raw = _json.loads(build_spec(shards=2).to_json())
+        raw = json.loads(build_spec(shards=2).to_json())
         del raw["shards"][0]["manager"]
         with pytest.raises(ConfigurationError, match="missing keys"):
-            ClusterSpec.from_json(_json.dumps(raw))
+            ClusterSpec.from_json(json.dumps(raw))
 
 
 # -- sharded topology ---------------------------------------------------------
@@ -186,36 +194,33 @@ class TestShardTopology:
         spec = sharded_spec(shards=3)
         assert len(spec.replicas) == 15
         assert len(spec.proxies) == 6
-        assert [a.name for a in spec.all_managers()] == [
+        assert [a.name for a in spec.all_addresses()[-3:]] == [
             f"reconfig-manager-{i}" for i in range(3)
         ]
-        assert spec.is_sharded()
-        views = spec.shard_views()
-        assert [view.name for view in views] == [
+        assert [shard.name for shard in spec.shards] == [
             "shard-0", "shard-1", "shard-2",
         ]
-        for index, view in enumerate(views):
-            assert len(view.replicas) == 5
-            assert len(view.proxies) == 2
-            assert view.manager.name == f"reconfig-manager-{index}"
+        for index, shard in enumerate(spec.shards):
+            assert len(shard.replicas) == 5
+            assert len(shard.proxies) == 2
+            assert shard.manager.name == f"reconfig-manager-{index}"
 
     def test_unsharded_spec_exposes_one_implicit_shard(self) -> None:
         spec = build_spec(replicas=5, proxies=2)
-        assert not spec.is_sharded()
-        views = spec.shard_views()
-        assert len(views) == 1
-        assert views[0].name == "shard-0"
-        assert views[0].replicas == tuple(spec.replicas)
-        assert views[0].proxy_ids() == spec.proxy_ids()
+        (shard,) = spec.shards
+        assert shard.name == "shard-0"
+        assert shard.replicas == tuple(spec.replicas)
+        assert shard.proxy_ids() == spec.proxy_ids()
+        assert shard.manager == spec.manager
         assert spec.shard_map().shard_names == ("shard-0",)
 
     def test_shard_write_quorums_arm_each_shard_independently(self) -> None:
         spec = sharded_spec(shard_write_quorums=[4, 2])
-        views = spec.shard_views()
-        assert views[0].initial_quorum() == QuorumConfig(read=2, write=4)
-        assert views[1].initial_quorum() == QuorumConfig(read=4, write=2)
-        # Shard 0's W doubles as the legacy top-level initial quorum.
-        assert spec.initial_write_quorum == 4
+        first, second = spec.shards
+        assert first.initial_quorum() == QuorumConfig(read=2, write=4)
+        assert second.initial_quorum() == QuorumConfig(read=4, write=2)
+        # The file's top-level initial quorum mirrors shard 0's W.
+        assert json.loads(spec.to_json())["initial_write_quorum"] == 4
 
     def test_shard_for_places_every_node_in_exactly_one_shard(self) -> None:
         spec = sharded_spec()
@@ -227,10 +232,10 @@ class TestShardTopology:
             spec.shard_for("storage-99")
 
     def test_shard_rings_are_disjoint(self) -> None:
-        views = sharded_spec().shard_views()
+        shards = sharded_spec().shards
         for key in ("obj-1", "alpha", "Ω"):
-            first = set(views[0].ring().replicas(key))
-            second = set(views[1].ring().replicas(key))
+            first = set(shards[0].ring().replicas(key))
+            second = set(shards[1].ring().replicas(key))
             assert not first & second
 
     def test_allocate_ports_fills_extra_manager_ports(self) -> None:
@@ -248,13 +253,23 @@ class TestShardTopology:
 
 
 class TestShardMapValidation:
-    """Every way a shard map can be malformed gets an explicit error."""
+    """Every way a topology can be malformed gets an explicit error.
+
+    Structural mistakes are made on the in-memory :class:`Shard`; wrong
+    node names can only come from outside input, so those are made on a
+    version-2 JSON file and caught by ``ClusterSpec.from_json``.
+    """
 
     def mutate(self, **changes) -> ClusterSpec:
         spec = sharded_spec()
         shards = list(spec.shards)
         shards[0] = dataclasses.replace(shards[0], **changes)
-        return dataclasses.replace(spec, shards=shards)
+        return dataclasses.replace(spec, shards=tuple(shards))
+
+    def load_mutated(self, **changes) -> ClusterSpec:
+        raw = json.loads(sharded_spec().to_json())
+        raw["shards"][0].update(changes)
+        return ClusterSpec.from_json(json.dumps(raw))
 
     def test_duplicate_shard_names(self) -> None:
         with pytest.raises(ConfigurationError, match="duplicate shard"):
@@ -272,40 +287,47 @@ class TestShardMapValidation:
         with pytest.raises(ConfigurationError, match="no proxies"):
             self.mutate(proxies=()).validate()
 
+    def test_no_shards(self) -> None:
+        with pytest.raises(ConfigurationError, match="at least one shard"):
+            dataclasses.replace(sharded_spec(), shards=()).validate()
+
+    def test_node_in_two_shards(self) -> None:
+        spec = sharded_spec()
+        with pytest.raises(ConfigurationError, match="used twice"):
+            self.mutate(manager=spec.shards[1].manager).validate()
+
     def test_unknown_replica_reference(self) -> None:
         with pytest.raises(ConfigurationError, match="unknown replica"):
-            self.mutate(
-                replicas=("storage-0", "storage-999")
-            ).validate()
+            self.load_mutated(replicas=["storage-0", "storage-999"])
 
     def test_replica_assigned_to_two_shards(self) -> None:
         with pytest.raises(ConfigurationError, match="assigned to both"):
-            self.mutate(
-                replicas=(
+            self.load_mutated(
+                replicas=[
                     "storage-0", "storage-1", "storage-2",
                     "storage-3", "storage-5",
-                )
-            ).validate()
+                ]
+            )
 
     def test_replica_left_out_of_every_shard(self) -> None:
         with pytest.raises(ConfigurationError, match="not in any shard"):
-            self.mutate(
-                replicas=("storage-0", "storage-1", "storage-2", "storage-3"),
+            self.load_mutated(
+                replicas=["storage-0", "storage-1", "storage-2", "storage-3"],
                 replication_degree=4,
                 write_quorum=3,
-            ).validate()
+            )
 
     def test_unknown_proxy_reference(self) -> None:
         with pytest.raises(ConfigurationError, match="unknown proxy"):
-            self.mutate(proxies=("proxy-0", "proxy-999")).validate()
+            self.load_mutated(proxies=["proxy-0", "proxy-999"])
 
     def test_unknown_manager_reference(self) -> None:
         with pytest.raises(ConfigurationError, match="unknown manager"):
-            self.mutate(manager="reconfig-manager-9").validate()
+            self.load_mutated(manager="reconfig-manager-9")
 
     def test_manager_shared_between_shards(self) -> None:
         with pytest.raises(ConfigurationError, match="assigned to both"):
-            self.mutate(manager="reconfig-manager-1").validate()
+            self.load_mutated(manager="reconfig-manager-1")
 
     def test_shard_degree_exceeding_its_replicas(self) -> None:
         with pytest.raises(ConfigurationError, match="replication degree"):
@@ -314,19 +336,3 @@ class TestShardMapValidation:
     def test_non_strict_shard_quorum(self) -> None:
         with pytest.raises(ConfigurationError):
             self.mutate(write_quorum=9).validate()
-
-    def test_extra_managers_without_shard_map(self) -> None:
-        spec = sharded_spec()
-        with pytest.raises(ConfigurationError, match="shard map"):
-            dataclasses.replace(spec, shards=[]).validate()
-
-    def test_shard_spec_initial_quorum(self) -> None:
-        shard = ShardSpec(
-            name="s",
-            replicas=("storage-0",),
-            proxies=("proxy-0",),
-            manager="reconfig-manager-0",
-            write_quorum=3,
-            replication_degree=5,
-        )
-        assert shard.initial_quorum() == QuorumConfig(read=3, write=3)

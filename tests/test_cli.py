@@ -70,3 +70,40 @@ class TestSimulatorCommands:
     def test_figure2_fast(self, capsys):
         assert main(["figure2", "--fast"]) == 0
         assert "ycsb-a" in capsys.readouterr().out
+
+
+class TestLivesmokeFlags:
+    """``livesmoke`` declares only the options it honours (no cluster
+    boots: ``run_smoke`` is replaced; the class runs in about 0.4 s)."""
+
+    def run(self, monkeypatch, argv):
+        import repro.net.cli as net_cli
+        import repro.net.smoke as smoke
+
+        seen = {}
+
+        async def fake_run_smoke(**kwargs):
+            seen.update(kwargs)
+            return "result"
+
+        monkeypatch.setattr(smoke, "run_smoke", fake_run_smoke)
+        monkeypatch.setattr(net_cli, "_finish", lambda result: 0)
+        assert main(["livesmoke", *argv]) == 0
+        return seen
+
+    def test_seed_zero_reaches_run_smoke(self, monkeypatch):
+        assert self.run(monkeypatch, ["--seed", "0"])["seed"] == 0
+
+    def test_defaults(self, monkeypatch):
+        seen = self.run(monkeypatch, [])
+        assert (seen["seed"], seen["replicas"], seen["proxies"]) == (1, 5, 1)
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--shards", "2"], ["--write-quorum", "4"], ["--lease-duration", "1"]],
+    )
+    def test_ignored_flags_are_rejected(self, monkeypatch, flag, capsys):
+        with pytest.raises(SystemExit) as error:
+            self.run(monkeypatch, flag)
+        assert error.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
