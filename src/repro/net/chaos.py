@@ -46,12 +46,7 @@ from repro.net.loadgen import (
     metric_value,
     run_live,
 )
-from repro.net.nemesis import (
-    LiveNemesis,
-    NemesisCycleResult,
-    RestartPolicy,
-    build_schedule,
-)
+from repro.net.nemesis import LiveNemesis, NemesisCycleResult, build_schedule
 from repro.net.spec import build_spec
 from repro.sds.client import OperationRecord
 from repro.workloads.base import Operation
@@ -305,15 +300,14 @@ async def run_chaos(
         # Front-load the churn: ceil(cycles/2) under W=4, the rest under
         # W=2, so both quorum geometries see kills.
         split = cycles - cycles // 2
-        nemesis = LiveNemesis(cluster, [], policy=RestartPolicy())
+        nemesis = LiveNemesis(cluster)
         transport_resets = 0
         for position, (write_quorum, batch) in enumerate(
             [(4, schedule[:split]), (2, schedule[split:])]
         ):
             if position > 0:
                 await generator.reconfigure(write_quorum)
-            nemesis.schedule = list(batch)
-            nemesis_task = asyncio.ensure_future(nemesis.run())
+            nemesis_task = asyncio.ensure_future(nemesis.run(batch))
             reset_task = asyncio.ensure_future(
                 _reset_links_midphase(generator, after=duration / 2)
             )

@@ -76,20 +76,20 @@ def build_schedule(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RestartPolicy:
-    """How hard the supervisor tries to bring a dead worker back."""
+#: Restart backoff: ``BACKOFF_BASE * 2**attempt``, capped at ``BACKOFF_CAP``.
+BACKOFF_BASE = 0.2
+BACKOFF_CAP = 2.0
+#: Restarts tried before a cycle is reported as a problem.
+MAX_RESTART_ATTEMPTS = 3
+#: Deadline for a restarted process to answer ``/healthz``.
+HEALTH_DEADLINE = 15.0
+#: Deadline for a recovered replica to leave quarantine.
+RECOVERY_DEADLINE = 30.0
 
-    backoff_base: float = 0.2
-    backoff_cap: float = 2.0
-    max_attempts: int = 3
-    #: Deadline for a restarted process to answer ``/healthz``.
-    health_deadline: float = 15.0
-    #: Deadline for a recovered replica to leave quarantine.
-    recovery_deadline: float = 30.0
 
-    def backoff(self, attempt: int) -> float:
-        return min(self.backoff_cap, self.backoff_base * (2.0 ** attempt))
+def backoff(attempt: int) -> float:
+    """Seconds to wait after failed restart ``attempt`` (0-based)."""
+    return min(BACKOFF_CAP, BACKOFF_BASE * (2.0 ** attempt))
 
 
 @dataclass
@@ -123,22 +123,15 @@ class NemesisCycleResult:
 class LiveNemesis:
     """Drives a kill/restart schedule against a supervised cluster."""
 
-    def __init__(
-        self,
-        cluster: LocalCluster,
-        schedule: List[KillCycle],
-        policy: Optional[RestartPolicy] = None,
-    ) -> None:
+    def __init__(self, cluster: LocalCluster) -> None:
         self.cluster = cluster
-        self.schedule = list(schedule)
-        self.policy = policy if policy is not None else RestartPolicy()
         self.cycles: List[NemesisCycleResult] = []
         self.problems: List[str] = []
 
-    async def run(self) -> None:
-        """Execute every cycle; problems accumulate, they do not raise."""
+    async def run(self, cycles: List[KillCycle]) -> None:
+        """Execute ``cycles``; problems accumulate, they do not raise."""
         loop = asyncio.get_running_loop()
-        for cycle in list(self.schedule):
+        for cycle in cycles:
             await asyncio.sleep(cycle.delay)
             self.cluster.kill_worker(cycle.victim)
             result = NemesisCycleResult(
@@ -150,14 +143,14 @@ class LiveNemesis:
             if not await self._restart(cycle.victim, result):
                 self.problems.append(
                     f"{cycle.victim}: did not come back healthy after "
-                    f"{self.policy.max_attempts} restart attempts"
+                    f"{MAX_RESTART_ATTEMPTS} restart attempts"
                 )
                 continue
             rejoined_at = await self._await_readmission(cycle.victim, result)
             if rejoined_at is None:
                 self.problems.append(
                     f"{cycle.victim}: still quarantined after "
-                    f"{self.policy.recovery_deadline}s"
+                    f"{RECOVERY_DEADLINE}s"
                 )
             else:
                 result.recovery_seconds = rejoined_at - result.restarted_at
@@ -166,12 +159,12 @@ class LiveNemesis:
         self, name: str, result: NemesisCycleResult
     ) -> bool:
         """Respawn with backoff until the worker answers ``/healthz``."""
-        for attempt in range(self.policy.max_attempts):
+        for attempt in range(MAX_RESTART_ATTEMPTS):
             worker = self.cluster.restart_worker(name)
             result.restart_attempts += 1
             try:
                 await self.cluster.wait_worker_healthy(
-                    worker, deadline=self.policy.health_deadline
+                    worker, deadline=HEALTH_DEADLINE
                 )
                 return True
             except (RuntimeError, TimeoutError):
@@ -179,7 +172,7 @@ class LiveNemesis:
                 # retry after backoff (dead-worker detection is the
                 # fail-fast path inside wait_worker_healthy).
                 self.cluster.kill_worker(name)
-                await asyncio.sleep(self.policy.backoff(attempt))
+                await asyncio.sleep(backoff(attempt))
         return False
 
     async def _await_readmission(
@@ -188,7 +181,7 @@ class LiveNemesis:
         """Poll ``/healthz`` until the replica reports quarantine over."""
         loop = asyncio.get_running_loop()
         worker = self.cluster.worker(name)
-        give_up = loop.time() + self.policy.recovery_deadline
+        give_up = loop.time() + RECOVERY_DEADLINE
         while loop.time() < give_up:
             try:
                 status, body = await http_get(
@@ -213,8 +206,8 @@ class LiveNemesis:
 
 __all__ = [
     "KillCycle",
-    "RestartPolicy",
     "NemesisCycleResult",
     "LiveNemesis",
+    "backoff",
     "build_schedule",
 ]

@@ -360,56 +360,6 @@ def check_baseline(report: Dict[str, Any], baseline_path: str) -> str:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description=(
-            "Run the pinned observability benchmark matrix and write "
-            "BENCH_obs.json"
-        ),
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="run only the three core scenarios (CI perf-smoke mode)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="simulation seed (default 0)"
-    )
-    parser.add_argument(
-        "--output",
-        default="BENCH_obs.json",
-        help="report path (default BENCH_obs.json)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help=(
-            "baseline BENCH_obs.json to gate kernel events/sec against "
-            f"(fails below {BASELINE_FLOOR:.0%})".replace("%", "%%")
-        ),
-    )
-    parser.add_argument(
-        "--trace",
-        default=None,
-        help=(
-            "also export the chaos scenario's Chrome trace_event JSON "
-            "to this path (open in Perfetto)"
-        ),
-    )
-    parser.add_argument(
-        "--profile",
-        default=None,
-        metavar="PATH",
-        help=(
-            "run under cProfile, write the pstats table to PATH and "
-            "print the top-3 hot functions (adds overhead: do not "
-            "combine with --baseline gating)"
-        ),
-    )
-    return parser
-
-
 def _write_profile(profiler: cProfile.Profile, path: str) -> None:
     """Dump the pstats table to ``path`` and print the top-3 by tottime."""
     stream = io.StringIO()
@@ -432,8 +382,8 @@ def _write_profile(profiler: cProfile.Profile, path: str) -> None:
     print(f"wrote profile {path}")
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+def run_command(args: argparse.Namespace) -> int:
+    """Run a parsed ``bench`` command line; returns the exit code."""
     profiler: Optional[cProfile.Profile] = None
     if args.profile:
         profiler = cProfile.Profile()
@@ -468,7 +418,3 @@ def main(argv: Optional[List[str]] = None) -> int:
     if profiler is not None:
         _write_profile(profiler, args.profile)
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    raise SystemExit(main())

@@ -1,8 +1,8 @@
-"""Entry point for ``python -m repro.qlint``."""
+"""``python -m repro.qlint``: the ``qlint`` command of ``python -m repro``."""
 
 import sys
 
-from repro.qlint.cli import main
+from repro.cli import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["qlint", *sys.argv[1:]]))

@@ -1,4 +1,5 @@
-"""``python -m repro.qlint`` — run the protocol-invariant linters.
+"""``python -m repro qlint`` (or ``python -m repro.qlint``) — run the
+protocol-invariant linters; :mod:`repro.cli` parses the flags.
 
 Exit code 0 when clean (or warnings only), 1 when any error-severity
 finding is present, 2 on usage errors.  ``--format json`` emits a
@@ -13,8 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
-from typing import Optional, Sequence
 
 from repro.qlint.findings import (
     exit_code,
@@ -30,78 +29,8 @@ from repro.qlint.runner import (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.qlint",
-        description=(
-            "Static analysis for Q-OPT protocol invariants: determinism "
-            "of the simulator, strict quorum intersection at every "
-            "configuration site, interleaving safety across suspension "
-            "points, and wire-registry exhaustiveness."
-        ),
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        type=Path,
-        help=(
-            "files or directories to analyze (default: the repro "
-            "protocol packages)"
-        ),
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", "github"),
-        default="text",
-        help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--select",
-        action="append",
-        metavar="RULE",
-        help="only report these rule ids (repeatable, e.g. --select QD001)",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="list every rule id with a one-line summary and exit",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        metavar="FILE",
-        help="baseline file of accepted findings "
-        "(default: <repo>/qlint-baseline.json)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline: report accepted findings too",
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="print the findings/suppression summary as JSON and exit "
-        "(non-gating: exit code reflects findings as usual)",
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        metavar="FILE",
-        help="write the report/stats to FILE as well as stdout",
-    )
-    parser.add_argument(
-        "--cache",
-        type=Path,
-        metavar="DIR",
-        help="cache whole-run results in DIR keyed on file hashes "
-        "(cross-file rules make per-file caching unsound)",
-    )
-    return parser
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+def run_command(args: argparse.Namespace) -> int:
+    """Run a parsed ``qlint`` command line; returns the exit code."""
     if args.list_rules:
         for rule in ("QL000", "QL001") + tuple(ALL_RULES):
             print(f"{rule}  {RULE_SUMMARIES[rule]}")
@@ -153,7 +82,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.output is not None:
         args.output.write_text(rendered + "\n", encoding="utf-8")
     return exit_code(findings)
-
-
-if __name__ == "__main__":  # pragma: no cover - module CLI
-    sys.exit(main())

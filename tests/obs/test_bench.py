@@ -84,10 +84,10 @@ class TestCli:
     def test_help_renders(self, capsys):
         # Regression: a literal % in a help string must be escaped for
         # argparse's %-formatting help expander.
-        from repro.obs.bench import build_parser
+        from repro.cli import main
 
         with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["--help"])
+            main(["bench", "--help"])
         assert excinfo.value.code == 0
         assert "BENCH_obs.json" in capsys.readouterr().out
 
@@ -115,12 +115,13 @@ class TestBaselineGate:
 @pytest.mark.slow
 class TestFullQuickMatrix:
     def test_quick_matrix_end_to_end(self, tmp_path):
-        from repro.obs.bench import main
+        from repro.cli import main
 
         output = tmp_path / "BENCH_obs.json"
         trace = tmp_path / "trace.json"
         code = main(
             [
+                "bench",
                 "--quick",
                 "--output",
                 str(output),

@@ -1,15 +1,16 @@
-"""The ``python -m repro.qlint`` entry point and the pytest plugin."""
+"""The ``qlint`` command (``python -m repro qlint`` and its alias
+``python -m repro.qlint``) and the pytest plugin."""
 
 from __future__ import annotations
 
 import json
+import runpy
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.cli import main as repro_main
-from repro.qlint.cli import main as qlint_main
+from repro.cli import main
 from repro.qlint.runner import ALL_RULES, RULE_SUMMARIES, run_suite
 
 VIOLATION = """
@@ -23,6 +24,11 @@ CLEAN = """
 def double(x):
     return 2 * x
 """
+
+
+def qlint_main(argv):
+    """``python -m repro qlint <argv>``; returns the exit code."""
+    return main(["qlint", *argv])
 
 
 @pytest.fixture
@@ -77,9 +83,19 @@ class TestCli:
             assert rule in out
         assert set(RULE_SUMMARIES) == {"QL000", "QL001", *ALL_RULES}
 
-    def test_repro_cli_forwards_qlint(self, bad_tree, capsys):
-        assert repro_main(["qlint", str(bad_tree)]) == 1
+    def test_repro_cli_forwards_qlint(self, bad_tree, capsys, monkeypatch):
+        """``python -m repro.qlint`` is the same command, exit code and all."""
+        monkeypatch.setattr("sys.argv", ["repro.qlint", str(bad_tree)])
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("repro.qlint", run_name="__main__")
+        assert exit_.value.code == 1
         assert "QD001" in capsys.readouterr().out
+
+    def test_usage_error_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            qlint_main(["--format", "yaml"])
+        assert exit_.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_github_format_emits_annotations(self, bad_tree, capsys):
         assert qlint_main([str(bad_tree), "--format", "github"]) == 1

@@ -1,6 +1,6 @@
 """Import contracts: what loads what, checked in fresh interpreters.
 
-Three promises, none of which an in-process test can check (this
+Four promises, none of which an in-process test can check (this
 process imported everything long ago):
 
 * every live-runtime module can be the *first* ``repro`` import of a
@@ -8,10 +8,12 @@ process imported everything long ago):
   happening to import things in a lucky order;
 * a ``python -m repro serve`` worker loads the kernel, the transport and
   its protocol node, and none of the experiment stack (numpy, analysis,
-  Oracle, harness, workloads, autonomic loop, qlint);
+  Oracle, harness, workloads, autonomic loop, qlint) nor the drivers of
+  the other commands (bench, loadgen, cluster supervisor, chaos);
+* building the one command tree imports no command's module;
 * the lazy package exports resolve to exactly what ``__all__`` lists.
 
-Wall time: ~3 s (ten short-lived subprocesses).
+Wall time: ~3 s (twelve short-lived subprocesses).
 """
 
 from __future__ import annotations
@@ -37,6 +39,13 @@ WORKER_FORBIDDEN = (
     "repro.workloads",
     "repro.autonomic",
     "repro.qlint",
+    "repro.obs.bench",
+    "repro.net.loadgen",
+    "repro.net.cluster",
+    "repro.net.chaos",
+    "repro.net.smoke",
+    "repro.net.scaleout",
+    "repro.net.nemesis",
 )
 
 #: Runs ``python -m repro serve`` for one node up to the point where the
@@ -73,6 +82,14 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     )
 
 
+def _banned(modules: list, banned: tuple) -> list:
+    return [
+        name
+        for name in modules
+        if any(name == b or name.startswith(b + ".") for b in banned)
+    ]
+
+
 @pytest.mark.parametrize(
     "module",
     [
@@ -81,7 +98,7 @@ def _python(*args: str) -> subprocess.CompletedProcess:
         "repro.sds.messages",
         "repro.net.tcp",
         "repro.net.runtime",
-        "repro.net.cli",
+        "repro.cli",
     ],
 )
 def test_module_imports_first_in_a_fresh_interpreter(module: str) -> None:
@@ -105,15 +122,20 @@ def test_serve_worker_loads_no_experiment_stack(node: str, built: str) -> None:
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout)
     assert report["built"] == [built]
-    loaded = [
-        name
-        for name in report["modules"]
-        if any(
-            name == banned or name.startswith(banned + ".")
-            for banned in WORKER_FORBIDDEN
-        )
-    ]
-    assert loaded == []
+    assert _banned(report["modules"], WORKER_FORBIDDEN) == []
+
+
+def test_building_the_command_tree_imports_no_command() -> None:
+    script = (
+        "import json, sys\n"
+        "from repro.cli import build_parser\n"
+        "build_parser()\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    result = _python("-c", script)
+    assert result.returncode == 0, result.stderr
+    modules = json.loads(result.stdout)
+    assert _banned(modules, ("numpy", "repro.qlint", "repro.harness")) == []
 
 
 @pytest.mark.parametrize("package", ["repro", "repro.sds"])
