@@ -138,10 +138,8 @@ class ProxyConfig:
     #: the *static* feature flag and must be uniform across a fleet:
     #: enabling it also makes every write quorum include the object's
     #: primary replica, which is what makes single-replica lease reads
-    #: safe (invariant I7).  A per-proxy runtime toggle
-    #: (``ProxyNode.set_lease_reads``) additionally controls whether the
-    #: proxy *uses* leases on its read path; that side is safe to flip
-    #: per proxy because the write-side rule stays on.
+    #: safe (invariant I7).  The same flag turns on every proxy's
+    #: lease read path.
     lease_duration: float = 0.0
     #: Assumed upper bound on clock skew between a proxy and a primary
     #: replica, seconds.  The proxy treats a held lease as expired this

@@ -4,9 +4,11 @@
 
 1. boot a WAL-backed localhost cluster (``spec.data_dir`` set, so every
    replica journals to disk and recovers through the I6 quarantine);
-2. run a timed workload-A phase at W=4 while a seeded
-   :class:`~repro.net.nemesis.LiveNemesis` SIGKILLs and restarts storage
-   replicas, and the load generator's own TCP links are reset mid-phase;
+2. run a timed workload-A phase at W=4 while a seeded kill schedule
+   (:func:`build_schedule`) SIGKILLs storage replicas and
+   :meth:`~repro.net.cluster.LocalCluster.kill_and_restart` brings each
+   one back, and the load generator's own TCP links are reset
+   mid-phase;
 3. drive a live W=4 → W=2 reconfiguration and keep loading through more
    kill cycles;
 4. run a quiescent read-back sweep over every object and compute the
@@ -18,6 +20,11 @@
    ``qopt_replica_recoveries_total`` — a restarted replica must have
    completed at least one quarantined rejoin, i.e. it re-entered read
    quorums only after the I6 epoch sync.
+
+Faults are *faithful*: a killed replica loses exactly what a ``kill -9``
+loses (its process state and any unfsynced WAL tail).  The schedule is
+derived from the cluster seed through the usual substream discipline,
+so a CI failure reproduces locally from the same ``--seed``.
 
 What gates it: everything the run report gates on except failed
 load-phase operations (see :meth:`ChaosReport.tolerates_failures`),
@@ -35,8 +42,9 @@ import tempfile
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.common.rng import substream
 from repro.common.types import ObjectId, OpType
-from repro.net.cluster import LocalCluster
+from repro.net.cluster import LocalCluster, RestartRecord
 from repro.net.loadgen import (
     HarnessChecks,
     LoadGenerator,
@@ -46,8 +54,7 @@ from repro.net.loadgen import (
     metric_value,
     run_live,
 )
-from repro.net.nemesis import LiveNemesis, NemesisCycleResult, build_schedule
-from repro.net.spec import build_spec
+from repro.net.spec import ClusterSpec, build_spec
 from repro.sds.client import OperationRecord
 from repro.workloads.base import Operation
 
@@ -56,6 +63,61 @@ READBACK = "readback"
 
 #: The gauge a restarted replica bumps when its I6 rejoin completes.
 RECOVERIES = "qopt_replica_recoveries_total"
+
+#: Seconds before each kill (from the previous cycle's end), drawn uniformly.
+KILL_DELAY = (1.0, 2.5)
+#: Seconds each victim stays dead before its restart, drawn uniformly.
+DOWNTIME = (0.4, 1.2)
+
+
+@dataclass(frozen=True)
+class KillCycle:
+    """One kill → restart cycle of the schedule."""
+
+    victim: str
+    #: Seconds to wait (from the previous cycle's end) before the kill.
+    delay: float
+    #: Seconds the victim stays dead before the restart is attempted.
+    downtime: float
+
+
+def build_schedule(
+    spec: ClusterSpec, seed: int, cycles: int
+) -> List[KillCycle]:
+    """A seeded storage-victim schedule; deterministic given the seed."""
+    rng = substream(seed, "nemesis", "schedule")
+    victims = [address.name for address in spec.replicas]
+    schedule: List[KillCycle] = []
+    previous: Optional[str] = None
+    for _ in range(cycles):
+        victim = rng.choice(victims)
+        # Avoid back-to-back kills of the same replica when possible:
+        # the point is churn across the fleet, not one node flapping.
+        if victim == previous and len(victims) > 1:
+            victim = rng.choice([v for v in victims if v != previous])
+        previous = victim
+        schedule.append(
+            KillCycle(
+                victim=victim,
+                delay=rng.uniform(*KILL_DELAY),
+                downtime=rng.uniform(*DOWNTIME),
+            )
+        )
+    return schedule
+
+
+async def _run_cycles(
+    cluster: LocalCluster, schedule: List[KillCycle]
+) -> List[RestartRecord]:
+    """Execute ``schedule`` against ``cluster``, one record per cycle;
+    problems land in the records, they do not raise."""
+    records: List[RestartRecord] = []
+    for cycle in schedule:
+        await asyncio.sleep(cycle.delay)
+        records.append(
+            await cluster.kill_and_restart(cycle.victim, cycle.downtime)
+        )
+    return records
 
 
 @dataclass
@@ -154,8 +216,7 @@ class ChaosReport(HarnessChecks):
     title = "live-chaos"
 
     cycles_planned: int
-    cycles: List[NemesisCycleResult]
-    nemesis_problems: List[str]
+    cycles: List[RestartRecord]
     lost_acked_writes: int
     lost_details: List[str]
     transport_resets: int
@@ -179,7 +240,7 @@ class ChaosReport(HarnessChecks):
             problems.append(
                 f"{self.lost_acked_writes} acknowledged writes lost"
             )
-        problems.extend(self.nemesis_problems)
+        problems.extend(c.problem for c in self.cycles if c.problem)
         if len(self.cycles) < self.cycles_planned:
             problems.append(
                 f"only {len(self.cycles)} of {self.cycles_planned} kill "
@@ -300,14 +361,14 @@ async def run_chaos(
         # Front-load the churn: ceil(cycles/2) under W=4, the rest under
         # W=2, so both quorum geometries see kills.
         split = cycles - cycles // 2
-        nemesis = LiveNemesis(cluster)
+        records: List[RestartRecord] = []
         transport_resets = 0
         for position, (write_quorum, batch) in enumerate(
             [(4, schedule[:split]), (2, schedule[split:])]
         ):
             if position > 0:
                 await generator.reconfigure(write_quorum)
-            nemesis_task = asyncio.ensure_future(nemesis.run(batch))
+            kills = asyncio.ensure_future(_run_cycles(cluster, batch))
             reset_task = asyncio.ensure_future(
                 _reset_links_midphase(generator, after=duration / 2)
             )
@@ -320,7 +381,7 @@ async def run_chaos(
             finally:
                 # Let any cycle still mid-kill finish its restart in
                 # quiescence before reconfiguring or reading back.
-                await nemesis_task
+                records.extend(await kills)
                 transport_resets += await reset_task
         # Quiescent read-back sweep: every object, read-only, all
         # replicas alive (the durability verdict needs a full pass).
@@ -340,8 +401,7 @@ async def run_chaos(
         }
         return ChaosReport(
             cycles_planned=cycles,
-            cycles=list(nemesis.cycles),
-            nemesis_problems=list(nemesis.problems),
+            cycles=records,
             lost_acked_writes=lost,
             lost_details=lost_details,
             transport_resets=transport_resets,
@@ -373,6 +433,8 @@ async def run_chaos(
 
 __all__ = [
     "ChaosReport",
+    "KillCycle",
+    "build_schedule",
     "count_lost_acked_writes",
     "replica_recoveries",
     "run_chaos",

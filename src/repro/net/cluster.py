@@ -8,6 +8,14 @@ node is a genuinely separate OS process talking TCP — there is no shared
 memory shortcut — so the topology exercises the same code paths a
 multi-host deployment would, minus the physical network.
 
+It is also the one supervisor of those processes and the only reader
+of their ``/healthz`` (:mod:`repro.net.runtime` is the only writer):
+boot, restart and readmission all wait through one poll loop that
+fails fast the moment the polled worker's process exits.  A restart
+(:meth:`LocalCluster.kill_and_restart`) is a fail-stop ``kill -9``,
+respawns with exponential backoff until the worker answers, then waits
+out the replica's I6 quarantine.
+
 Shutdown is graceful-then-forceful: ``GET /shutdown`` on every node,
 bounded wait, then ``terminate()``/``kill()`` for stragglers.
 """
@@ -21,11 +29,27 @@ import socket
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Optional
 
 from repro.net.httpd import http_get
 from repro.net.spec import ClusterSpec, NodeAddress
+
+#: Seconds between two ``/healthz`` polls of one worker.
+HEALTH_POLL = 0.1
+#: Timeout of one control request (``/healthz``, ``/shutdown``).
+REQUEST_TIMEOUT = 2.0
+#: Deadline for a booted or restarted worker to answer ``/healthz``.
+HEALTH_DEADLINE = 20.0
+#: Deadline for a restarted replica to leave quarantine.
+RECOVERY_DEADLINE = 30.0
+#: Restart backoff: ``BACKOFF_BASE * 2**attempt``, capped at ``BACKOFF_CAP``.
+BACKOFF_BASE = 0.2
+BACKOFF_CAP = 2.0
+#: Restarts tried before a kill cycle is reported as a problem.
+MAX_RESTART_ATTEMPTS = 3
+#: Seconds workers get to exit after ``/shutdown`` before ``terminate()``.
+SHUTDOWN_GRACE = 10.0
 
 
 def allocate_ports(spec: ClusterSpec) -> ClusterSpec:
@@ -98,6 +122,85 @@ def proc_stats(pid: int) -> Optional[Dict[str, float]]:
     }
 
 
+def backoff(attempt: int) -> float:
+    """Seconds to wait after failed restart ``attempt`` (0-based)."""
+    return min(BACKOFF_CAP, BACKOFF_BASE * (2.0 ** attempt))
+
+
+async def _poll_healthz(
+    address: NodeAddress,
+    process: Optional[subprocess.Popen],
+    deadline: float,
+    ready: Callable[[str], bool] = lambda body: True,
+) -> str:
+    """The one ``/healthz`` poll loop; returns the first ``ready`` body.
+
+    When ``process`` is given, a worker that exits while we poll raises
+    immediately instead of burning the whole deadline — a
+    crashed-on-boot replica (bad spec, corrupt WAL directory) should
+    fail the run in milliseconds, not after a timeout.
+    """
+    loop = asyncio.get_running_loop()
+    give_up = loop.time() + deadline
+    while True:
+        code = None if process is None else process.poll()
+        if code is not None:
+            raise RuntimeError(
+                f"worker {address.name} exited with code {code} "
+                "before becoming healthy"
+            )
+        try:
+            status, body = await http_get(
+                address.host,
+                address.http_port,
+                "/healthz",
+                timeout=REQUEST_TIMEOUT,
+            )
+            if status == 200 and ready(body):
+                return body
+        except (OSError, asyncio.TimeoutError, ValueError, IndexError):
+            pass
+        if loop.time() >= give_up:
+            raise TimeoutError(
+                f"worker {address.name} not healthy in {deadline}s"
+            )
+        await asyncio.sleep(HEALTH_POLL)
+
+
+async def wait_spec_healthy(spec: ClusterSpec) -> None:
+    """Wait for every node of a cluster booted elsewhere to answer."""
+    for address in spec.all_addresses():
+        await _poll_healthz(address, None, HEALTH_DEADLINE)
+
+
+@dataclass
+class RestartRecord:
+    """What one kill → restart → readmission cycle observed."""
+
+    victim: str
+    restart_attempts: int = 0
+    #: Wall seconds from (first) restart to quarantine exit; None if the
+    #: replica never rejoined.
+    recovery_seconds: Optional[float] = None
+    #: Whether the replica was ever observed read-excluded after the
+    #: restart (the I6 quarantine window is visible on ``/healthz``).
+    quarantine_observed: bool = False
+    #: Why the cycle did not recover; None when it did.
+    problem: Optional[str] = None
+
+    def as_dict(self) -> dict:
+        return {
+            "victim": self.victim,
+            "restart_attempts": self.restart_attempts,
+            "recovery_seconds": (
+                None
+                if self.recovery_seconds is None
+                else round(self.recovery_seconds, 3)
+            ),
+            "quarantine_observed": self.quarantine_observed,
+        }
+
+
 @dataclass
 class NodeProcess:
     """One spawned ``serve`` worker (survives restarts of its process)."""
@@ -106,8 +209,6 @@ class NodeProcess:
     process: subprocess.Popen
     #: Times the worker has been (re)spawned after its first start.
     restarts: int = 0
-    #: Exit codes of previous incarnations, oldest first.
-    past_exits: List[int] = field(default_factory=list)
 
     @property
     def name(self) -> str:
@@ -128,13 +229,9 @@ class LocalCluster:
     """Spawn and manage one live cluster of local worker processes."""
 
     def __init__(
-        self,
-        spec: ClusterSpec,
-        workdir: Optional[str] = None,
-        python: str = sys.executable,
+        self, spec: ClusterSpec, workdir: Optional[str] = None
     ) -> None:
         self.spec = allocate_ports(spec.validate()).validate()
-        self._python = python
         self._workdir = workdir or tempfile.mkdtemp(prefix="qopt-cluster-")
         self.spec_path = os.path.join(self._workdir, "cluster.json")
         self.workers: List[NodeProcess] = []
@@ -161,7 +258,7 @@ class LocalCluster:
         )
         return subprocess.Popen(
             [
-                self._python,
+                sys.executable,
                 "-m",
                 "repro",
                 "serve",
@@ -198,58 +295,85 @@ class LocalCluster:
         quarantined.
         """
         worker = self.worker(name)
-        code = worker.returncode
-        if code is None:
+        if worker.returncode is None:
             raise RuntimeError(f"worker {name} is still running")
-        worker.past_exits.append(code)
         worker.process = self._spawn(name)
         worker.restarts += 1
         return worker
 
-    async def wait_healthy(self, deadline: float = 20.0) -> None:
-        # Snapshot: start() may append more workers while we await.
-        for worker in list(self.workers):
-            await self.wait_worker_healthy(worker, deadline=deadline)
+    async def kill_and_restart(
+        self, name: str, downtime: float
+    ) -> RestartRecord:
+        """Fail-stop ``name``, keep it down ``downtime`` seconds, respawn
+        it with backoff until it answers ``/healthz``, then wait until it
+        no longer reports ``quarantined=true``.
 
-    async def wait_worker_healthy(
-        self, worker: NodeProcess, deadline: float = 20.0
-    ) -> str:
-        """Poll one worker's ``/healthz``; fail fast if it already died.
-
-        Returns the healthz body.  A worker that exits while we poll
-        raises immediately instead of burning the whole deadline — a
-        crashed-on-boot replica (bad spec, corrupt WAL directory) should
-        fail the run in milliseconds, not after a timeout.
+        Problems land in the record's ``problem``; this never raises for
+        a worker that does not come back.
         """
         loop = asyncio.get_running_loop()
-        give_up = loop.time() + deadline
-        while True:
-            code = worker.returncode
-            if code is not None:
-                raise RuntimeError(
-                    f"worker {worker.name} exited with code {code} "
-                    "before becoming healthy"
-                )
+        self.kill_worker(name)
+        record = RestartRecord(victim=name)
+        await asyncio.sleep(downtime)
+        restarted_at = loop.time()
+        for attempt in range(MAX_RESTART_ATTEMPTS):
+            if attempt:
+                await asyncio.sleep(backoff(attempt - 1))
+            worker = self.restart_worker(name)
+            record.restart_attempts += 1
             try:
-                status, body = await http_get(
-                    worker.address.host,
-                    worker.address.http_port,
-                    "/healthz",
-                    timeout=2.0,
+                body = await self.wait_worker_healthy(worker)
+                break
+            except (RuntimeError, TimeoutError):
+                # Crashed on boot or wedged: put it down cleanly before
+                # the next attempt.
+                self.kill_worker(name)
+        else:
+            record.problem = (
+                f"{name}: did not come back healthy after "
+                f"{MAX_RESTART_ATTEMPTS} restart attempts"
+            )
+            return record
+
+        def readmitted(body: str) -> bool:
+            # A memory-backed replica has no quarantine phase at all.
+            if "quarantined=true" in body:
+                record.quarantine_observed = True
+                return False
+            return True
+
+        try:
+            # The first healthy body counts: a quarantine shorter than
+            # one poll interval is still observed.
+            if not readmitted(body):
+                await _poll_healthz(
+                    worker.address, worker.process, RECOVERY_DEADLINE,
+                    readmitted,
                 )
-                if status == 200:
-                    return body
-            except (OSError, asyncio.TimeoutError, ValueError, IndexError):
-                pass
-            if loop.time() >= give_up:
-                raise TimeoutError(
-                    f"worker {worker.name} not healthy in {deadline}s"
-                )
-            await asyncio.sleep(0.1)
+        except TimeoutError:
+            record.problem = (
+                f"{name}: still quarantined after {RECOVERY_DEADLINE}s"
+            )
+        except RuntimeError as exc:
+            record.problem = str(exc)
+        else:
+            record.recovery_seconds = loop.time() - restarted_at
+        return record
+
+    async def wait_healthy(self) -> None:
+        # Snapshot: start() may append more workers while we await.
+        for worker in list(self.workers):
+            await self.wait_worker_healthy(worker)
+
+    async def wait_worker_healthy(self, worker: NodeProcess) -> str:
+        """Poll one worker's ``/healthz``; fail fast if it already died."""
+        return await _poll_healthz(
+            worker.address, worker.process, HEALTH_DEADLINE
+        )
 
     # -- shutdown ------------------------------------------------------------
 
-    async def shutdown(self, grace: float = 10.0) -> Dict[str, int]:
+    async def shutdown(self) -> Dict[str, int]:
         """Stop every worker; returns ``{node name: exit code}``."""
         for worker in list(self.workers):
             if worker.returncode is not None:
@@ -259,14 +383,14 @@ class LocalCluster:
                     worker.address.host,
                     worker.address.http_port,
                     "/shutdown",
-                    timeout=3.0,
+                    timeout=REQUEST_TIMEOUT,
                 )
-            except (OSError, TimeoutError, ValueError, IndexError):
+            except (OSError, asyncio.TimeoutError, ValueError, IndexError):
                 pass  # fall through to terminate below
         codes: Dict[str, int] = {}
         for worker in self.workers:
             try:
-                codes[worker.name] = worker.process.wait(timeout=grace)
+                codes[worker.name] = worker.process.wait(timeout=SHUTDOWN_GRACE)
             except subprocess.TimeoutExpired:
                 worker.process.terminate()
                 try:
@@ -289,41 +413,6 @@ class LocalCluster:
 
     def restarted_workers(self) -> List[NodeProcess]:
         return [w for w in self.workers if w.restarts > 0]
-
-    async def health(self) -> Dict[str, dict]:
-        """The cluster ``/healthz`` aggregate: one entry per worker.
-
-        Combines process-level liveness (poll) with each live worker's
-        own ``/healthz`` body, so dead workers show up as
-        ``alive=False`` instead of a scrape timeout.
-        """
-        report: Dict[str, dict] = {}
-        for worker in list(self.workers):
-            entry: dict = {
-                "alive": worker.returncode is None,
-                "returncode": worker.returncode,
-                "restarts": worker.restarts,
-                "healthz": None,
-                # Attributes throughput to cores: fleet runs read these
-                # to see which shard's workers are burning CPU.
-                "resources": worker.resources(),
-            }
-            if entry["alive"]:
-                try:
-                    status, body = await http_get(
-                        worker.address.host,
-                        worker.address.http_port,
-                        "/healthz",
-                        timeout=2.0,
-                    )
-                    if status == 200:
-                        entry["healthz"] = body.strip()
-                except (
-                    OSError, asyncio.TimeoutError, ValueError, IndexError
-                ):
-                    pass
-            report[worker.name] = entry
-        return report
 
     def describe(self) -> str:
         lines = [f"cluster spec: {self.spec_path}"]
@@ -349,4 +438,12 @@ class LocalCluster:
         return "\n".join(lines)
 
 
-__all__ = ["LocalCluster", "NodeProcess", "allocate_ports", "proc_stats"]
+__all__ = [
+    "LocalCluster",
+    "NodeProcess",
+    "RestartRecord",
+    "allocate_ports",
+    "backoff",
+    "proc_stats",
+    "wait_spec_healthy",
+]

@@ -143,24 +143,4 @@ async def http_get(
     return await asyncio.wait_for(_fetch(), timeout=timeout)
 
 
-async def wait_healthy(
-    host: str, port: int, deadline: float = 15.0
-) -> None:
-    """Poll ``/healthz`` until it answers 200 or the deadline passes."""
-    loop = asyncio.get_running_loop()
-    give_up = loop.time() + deadline
-    while True:
-        try:
-            status, _body = await http_get(host, port, "/healthz", timeout=2.0)
-            if status == 200:
-                return
-        except (OSError, asyncio.TimeoutError, ValueError, IndexError):
-            pass
-        if loop.time() >= give_up:
-            raise TimeoutError(
-                f"http://{host}:{port}/healthz not ready in {deadline}s"
-            )
-        await asyncio.sleep(0.1)
-
-
-__all__ = ["MiniHttpServer", "http_get", "wait_healthy", "Handler"]
+__all__ = ["MiniHttpServer", "http_get", "Handler"]

@@ -42,8 +42,8 @@ from typing import (
 from repro.common.rng import substream
 from repro.common.types import NodeId, OpType
 from repro.metrics.collector import OperationLog, percentile
-from repro.net.cluster import LocalCluster
-from repro.net.httpd import http_get, wait_healthy
+from repro.net.cluster import LocalCluster, wait_spec_healthy
+from repro.net.httpd import http_get
 from repro.net.kernel import RealtimeKernel
 from repro.net.spec import ClusterSpec
 from repro.net.tcp import TcpTransport
@@ -466,11 +466,8 @@ class LoadGenerator:
         if self.transport is not None:
             await self.transport.stop()
 
-    async def wait_cluster_healthy(self, deadline: float = 20.0) -> None:
-        for address in self.spec.all_addresses():
-            await wait_healthy(
-                address.host, address.http_port, deadline=deadline
-            )
+    async def wait_cluster_healthy(self) -> None:
+        await wait_spec_healthy(self.spec)
 
     # -- phases --------------------------------------------------------------
 
@@ -665,25 +662,6 @@ class LoadGenerator:
         took = self.kernel.tick() - begin
         self.reconfig_seconds = (self.reconfig_seconds or 0.0) + took
         return took
-
-    async def refresh_routes(self) -> List[str]:
-        """Poll every shard manager's ``/healthz`` for its current epoch
-        and refresh any routing entries whose shard has moved on.
-        Returns the names of the shards that refreshed."""
-        if self.router is None:
-            return []
-        epochs: Dict[str, int] = {}
-        for shard in self.spec.shards:
-            manager = shard.manager
-            status, body = await http_get(
-                manager.host, manager.http_port, "/healthz", timeout=5.0
-            )
-            if status != 200:
-                continue
-            match = re.search(r"epoch=(-?\d+)", body)
-            if match:
-                epochs[shard.name] = int(match.group(1))
-        return self.router.note_epochs(epochs)
 
     # -- reporting -----------------------------------------------------------
 

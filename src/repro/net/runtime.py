@@ -168,8 +168,6 @@ class NodeRuntime:
         }
         if isinstance(self.node, ReconfigurationManager):
             routes["/reconfig"] = self._handle_reconfig
-        if isinstance(self.node, ProxyNode):
-            routes["/leases"] = self._handle_leases
         return routes
 
     async def _handle_metrics(
@@ -299,7 +297,7 @@ class NodeRuntime:
         node = self.node
         shard = self.shard.name
         if isinstance(node, StorageNode):
-            # The quarantine flag is what the nemesis (and operators)
+            # The quarantine flag is what LocalCluster (and operators)
             # poll to see a restarted replica finish its I6 catch-up.
             return 200, "text/plain", (
                 f"ok {self.node_id} shard={shard}"
@@ -307,8 +305,7 @@ class NodeRuntime:
                 f" epoch={node.epoch_no} cfg={node.cfg_no}\n"
             )
         if isinstance(node, (ProxyNode, ReconfigurationManager)):
-            # The shard router polls this line: an epoch bump here is
-            # the routing-table refresh signal for this node's shard.
+            # Operators read the shard's current epoch and config here.
             return 200, "text/plain", (
                 f"ok {self.node_id} shard={shard}"
                 f" epoch={node.epoch_no} cfg={node.cfg_no}\n"
@@ -321,20 +318,6 @@ class NodeRuntime:
         del query
         self.request_shutdown()
         return 200, "text/plain", "shutting down\n"
-
-    async def _handle_leases(
-        self, query: Dict[str, str]
-    ) -> Tuple[int, str, str]:
-        proxy = self.node
-        assert isinstance(proxy, ProxyNode)
-        raw = query.get("enable")
-        if raw not in ("0", "1"):
-            return 400, "text/plain", "need ?enable=0|1\n"
-        proxy.set_lease_reads(raw == "1")
-        return 200, "text/plain", (
-            f"lease reads {'enabled' if raw == '1' else 'disabled'} "
-            f"on {self.node_id}\n"
-        )
 
     async def _handle_reconfig(
         self, query: Dict[str, str]

@@ -215,15 +215,12 @@ class ProxyNode(Node):
         self.gather_timeouts = 0
         self.operations_failed = 0
 
-        # Per-object read leases (invariant I7).  The write-side rule
-        # (primary ack mandatory) follows the *static* config flag so
-        # every proxy in the fleet applies it uniformly; the read-side
-        # fast path can additionally be toggled per proxy at runtime
-        # (set_lease_reads), which is safe — it only changes whether we
-        # *use* leases, never whether writes keep them sound.
+        # Per-object read leases (invariant I7).  Both the write-side
+        # rule (primary ack mandatory) and the read-side fast path follow
+        # the *static* config flag, so every proxy in the fleet applies
+        # them uniformly.
         self._leases: dict[ObjectId, _HeldLease] = {}
         self._lease_pending: dict[ObjectId, float] = {}
-        self._lease_reads_enabled = True
         self.lease_read_hits = 0
         self.lease_read_misses = 0
         self.leases_acquired = 0
@@ -399,7 +396,7 @@ class ProxyNode(Node):
         preferred replica set — has exhausted its deadline.
         """
         started_at = self.sim.now
-        if self._lease_feature_on() and self._lease_reads_enabled:
+        if self._lease_feature_on():
             reply = yield from self._lease_read(object_id, span=span)
             if reply is not None:
                 version = reply.version
@@ -613,16 +610,6 @@ class ProxyNode(Node):
     def _lease_feature_on(self) -> bool:
         return self._config.lease_duration > 0
 
-    def set_lease_reads(self, enabled: bool) -> None:
-        """Runtime toggle for the read-side fast path (per proxy).
-
-        Disabling drops held leases so an A/B comparison on a live
-        cluster measures the pure quorum path, not residual lease hits.
-        """
-        self._lease_reads_enabled = bool(enabled)
-        if not enabled:
-            self._drop_all_leases()
-
     def leases_held(self) -> int:
         """Number of objects this proxy currently holds a lease on."""
         return len(self._leases)
@@ -700,7 +687,7 @@ class ProxyNode(Node):
         A per-object dedup window bounds request traffic while a grant
         or nack is in flight.
         """
-        if not (self._lease_feature_on() and self._lease_reads_enabled):
+        if not self._lease_feature_on():
             return
         if object_id in self._leases:
             return

@@ -22,15 +22,15 @@ shard *membership* never changes during a W reconfiguration — but it
 tracks per-shard epochs so that (a) a fleet operator can see which
 routing entries are stale, and (b) the rotation cursor is reset on every
 epoch change, re-balancing clients across the shard's proxies after the
-reconfiguration shuffled their load.  The live loadgen feeds epochs from
-each shard manager's ``/healthz``; the sim feeds them directly from the
-reconfiguration manager objects.
+reconfiguration shuffled their load.  The one feed is the live load
+generator's :meth:`~repro.net.loadgen.LoadGenerator.reconfigure`, which
+passes on the epoch the shard manager's ``/reconfig`` reply reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.types import NodeId, ObjectId
@@ -130,8 +130,8 @@ class ShardRouter:
 
         Returns ``True`` when the observation advanced the entry's epoch
         (and therefore reset its rotation cursor).  Stale or repeated
-        observations are ignored, so any number of pollers can feed the
-        router concurrently.
+        observations are ignored, so feeding the same epoch twice is
+        harmless.
         """
         route = self.table.entry(shard)
         if epoch <= route.epoch:
@@ -140,14 +140,6 @@ class ShardRouter:
         route.cursor = 0
         self.table.refreshes += 1
         return True
-
-    def note_epochs(self, epochs: Dict[str, int]) -> List[str]:
-        """Bulk epoch feed; returns the shards whose routes refreshed."""
-        return [
-            shard
-            for shard, epoch in sorted(epochs.items())
-            if self.note_epoch(shard, epoch)
-        ]
 
     @property
     def refreshes(self) -> int:

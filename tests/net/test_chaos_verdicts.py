@@ -1,4 +1,5 @@
-"""The chaos harness's verdict logic, unit-tested without a cluster."""
+"""The chaos harness's kill schedule and verdict logic, unit-tested
+without a cluster."""
 
 from __future__ import annotations
 
@@ -6,18 +7,23 @@ import random
 
 from repro.common.types import NodeId, OpType
 from repro.net.chaos import (
+    DOWNTIME,
+    KILL_DELAY,
     READBACK,
     ChaosReport,
     _ReadbackSource,
+    build_schedule,
     count_lost_acked_writes,
     replica_recoveries,
 )
+from repro.net.cluster import RestartRecord
 from repro.net.loadgen import (
     LoadgenResult,
     PhaseResult,
     ShardOutcome,
     metric_value,
 )
+from repro.net.spec import build_spec
 from repro.obs.exporters import parse_prometheus_text
 from repro.sds.client import OperationRecord
 
@@ -175,7 +181,6 @@ class TestChaosVerdicts:
         defaults = dict(
             cycles_planned=0,
             cycles=[],
-            nemesis_problems=[],
             lost_acked_writes=0,
             lost_details=[],
             transport_resets=2,
@@ -217,6 +222,17 @@ class TestChaosVerdicts:
             "only 0 of 1 kill cycles ran"
         ]
 
+    def test_unrecovered_cycle_reports_its_problem(self) -> None:
+        stuck = RestartRecord(
+            victim="storage-1",
+            restart_attempts=3,
+            problem="storage-1: did not come back healthy after 3 "
+            "restart attempts",
+        )
+        result = self.make_result(cycles_planned=1, cycles=[stuck])
+        assert result.problems() == [stuck.problem]
+        assert "NEVER RECOVERED" in result.render()
+
     def test_report_fields(self) -> None:
         payload = self.make_result(load_failed=7).as_dict()
         assert payload["ok"] is True
@@ -236,3 +252,33 @@ class TestReadbackSource:
             "obj-a", "obj-b", "obj-c", "obj-a", "obj-b", "obj-c", "obj-a"
         ]
         assert all(op.op_type is OpType.READ for op in issued)
+
+
+def spec():
+    return build_spec(replicas=5, proxies=1, write_quorum=4, seed=7)
+
+
+class TestSchedules:
+    def test_deterministic_given_seed(self) -> None:
+        assert build_schedule(spec(), seed=3, cycles=6) == build_schedule(
+            spec(), seed=3, cycles=6
+        )
+
+    def test_different_seeds_differ(self) -> None:
+        schedules = {
+            tuple(build_schedule(spec(), seed=s, cycles=6)) for s in range(8)
+        }
+        assert len(schedules) > 1
+
+    def test_victims_are_storage_replicas_with_bounded_timing(self) -> None:
+        replicas = {address.name for address in spec().replicas}
+        for cycle in build_schedule(spec(), seed=5, cycles=20):
+            assert cycle.victim in replicas
+            assert KILL_DELAY[0] <= cycle.delay <= KILL_DELAY[1]
+            assert DOWNTIME[0] <= cycle.downtime <= DOWNTIME[1]
+
+    def test_no_back_to_back_victim(self) -> None:
+        for seed in range(10):
+            schedule = build_schedule(spec(), seed=seed, cycles=12)
+            for previous, current in zip(schedule, schedule[1:]):
+                assert previous.victim != current.victim

@@ -3,24 +3,42 @@
 from __future__ import annotations
 
 import asyncio
+import signal
+import socket
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
-from repro.net.cluster import LocalCluster, NodeProcess, proc_stats
+from repro.net import cluster as cluster_module
+from repro.net.cluster import (
+    HEALTH_POLL,
+    LocalCluster,
+    NodeProcess,
+    backoff,
+    proc_stats,
+)
+from repro.net.httpd import MiniHttpServer
 from repro.net.spec import build_spec
 
 
 class _FakeProcess:
-    """poll()/pid shim so supervision logic is testable without spawns."""
+    """Popen shim so supervision logic is testable without spawns."""
 
     def __init__(self, returncode=None, pid=4242) -> None:
         self._returncode = returncode
         self.pid = pid
 
     def poll(self):
+        return self._returncode
+
+    def send_signal(self, signum) -> None:
+        if self._returncode is None:
+            self._returncode = -signum
+
+    def wait(self, timeout=None):
         return self._returncode
 
 
@@ -80,26 +98,157 @@ class TestFailFastHealth:
             loop = asyncio.get_running_loop()
             begin = loop.time()
             with pytest.raises(RuntimeError, match="exited with code 3"):
-                await cluster.wait_worker_healthy(worker, deadline=30.0)
-            # Fail-fast: milliseconds, nowhere near the 30s deadline.
+                await cluster.wait_worker_healthy(worker)
+            # Fail-fast: milliseconds, nowhere near the health deadline.
             assert loop.time() - begin < 5.0
 
         asyncio.run(scenario())
 
-    def test_health_aggregate_reports_dead_worker_without_scraping(
-        self,
-    ) -> None:
+
+class TestRestartPolicy:
+    def test_backoff_doubles_then_caps(self) -> None:
+        delays = [backoff(attempt) for attempt in range(5)]
+        assert delays == pytest.approx([0.2, 0.4, 0.8, 1.6, 2.0])  # capped
+
+
+QUARANTINED = "ok storage-0 shard=shard-0 quarantined=true epoch=1 cfg=1\n"
+READMITTED = "ok storage-0 shard=shard-0 quarantined=false epoch=1 cfg=1\n"
+
+
+class TestKillAndRestart:
+    """``kill_and_restart`` against fake respawns and an in-process
+    ``/healthz``: no ``serve`` worker is spawned.  All four cases
+    together take about 2.3 s of wall time on a 2-core machine."""
+
+    def restart(self, monkeypatch, respawns, bodies=None):
+        """Kill a live fake worker and run one restart cycle.
+
+        ``respawns`` are the return codes of successive respawned
+        processes (``None`` = alive); ``bodies`` the successive
+        ``/healthz`` bodies, the last one repeating (``None``: nothing
+        listens).  Returns the cycle record and every ``asyncio.sleep``
+        delay the cycle took, the zero downtime included.
+        """
         cluster = make_cluster()
-        add_fake_worker(cluster, name_index=0, returncode=-9)
+        worker = add_fake_worker(cluster)
+        codes = iter(respawns)
+        monkeypatch.setattr(
+            cluster, "_spawn", lambda name: _FakeProcess(next(codes))
+        )
+        sleeps = []
+        real_sleep = asyncio.sleep
 
-        async def scenario() -> dict:
-            return await cluster.health()
+        async def recording_sleep(delay, *args):
+            sleeps.append(delay)
+            return await real_sleep(delay, *args)
 
-        report = asyncio.run(scenario())
-        (entry,) = report.values()
-        assert entry["alive"] is False
-        assert entry["returncode"] == -9
-        assert entry["healthz"] is None
+        monkeypatch.setattr(asyncio, "sleep", recording_sleep)
+
+        async def scenario():
+            server = None
+            if bodies is not None:
+                answers = list(bodies)
+
+                async def healthz(query):
+                    body = answers.pop(0) if len(answers) > 1 else answers[0]
+                    return 200, "text/plain", body
+
+                server = MiniHttpServer("127.0.0.1", 0, {"/healthz": healthz})
+                await server.start()
+                worker.address = replace(
+                    worker.address, host="127.0.0.1", http_port=server.port
+                )
+            try:
+                return await cluster.kill_and_restart(
+                    worker.name, downtime=0.0
+                )
+            finally:
+                if server is not None:
+                    await server.stop()
+
+        return asyncio.run(scenario()), sleeps
+
+    def test_dies_on_boot_twice_then_answers(self, monkeypatch) -> None:
+        record, sleeps = self.restart(
+            monkeypatch, respawns=[1, 1, None], bodies=[READMITTED]
+        )
+        assert record.restart_attempts == 3
+        assert [s for s in sleeps if s not in (0.0, HEALTH_POLL)] == [
+            0.2, 0.4
+        ]
+        assert record.problem is None
+        assert record.recovery_seconds is not None
+
+    def test_never_answers(self, monkeypatch) -> None:
+        monkeypatch.setattr(cluster_module, "HEALTH_DEADLINE", 0.3)
+        record, sleeps = self.restart(monkeypatch, respawns=[None] * 3)
+        assert record.restart_attempts == 3
+        assert record.problem == (
+            "storage-0: did not come back healthy after 3 restart attempts"
+        )
+        assert record.recovery_seconds is None
+        assert [s for s in sleeps if s not in (0.0, HEALTH_POLL)] == [
+            0.2, 0.4
+        ]
+
+    def test_waits_out_quarantine(self, monkeypatch) -> None:
+        record, _ = self.restart(
+            monkeypatch,
+            respawns=[None],
+            bodies=[QUARANTINED, QUARANTINED, READMITTED],
+        )
+        assert record.restart_attempts == 1
+        assert record.quarantine_observed is True
+        assert record.recovery_seconds is not None
+        assert record.recovery_seconds >= HEALTH_POLL
+        assert record.problem is None
+
+    def test_quarantine_seen_only_by_the_health_poll_is_observed(
+        self, monkeypatch
+    ) -> None:
+        record, _ = self.restart(
+            monkeypatch, respawns=[None], bodies=[QUARANTINED, READMITTED]
+        )
+        assert record.quarantine_observed is True
+        assert record.problem is None
+
+    def test_memory_backed_replica_is_readmitted_on_first_poll(
+        self, monkeypatch
+    ) -> None:
+        record, sleeps = self.restart(
+            monkeypatch, respawns=[None], bodies=["ok storage-0 shard=shard-0\n"]
+        )
+        assert record.quarantine_observed is False
+        assert record.recovery_seconds is not None
+        assert sleeps == [0.0]  # the downtime only: no poll ever waited
+
+
+class TestShutdown:
+    def test_unanswered_shutdown_falls_through_to_terminate(
+        self, monkeypatch
+    ) -> None:
+        """A worker that accepts ``/shutdown`` but never replies is
+        terminated, not left to raise.  About 2.5 s of wall time: one
+        2 s request timeout, then the 0.5 s grace patched in here."""
+        monkeypatch.setattr(cluster_module, "SHUTDOWN_GRACE", 0.5)
+        cluster = make_cluster()
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        process = subprocess.Popen(["sleep", "600"])
+        address = replace(
+            cluster.spec.replicas[0],
+            host="127.0.0.1",
+            http_port=listener.getsockname()[1],
+        )
+        cluster.workers.append(NodeProcess(address, process))
+        try:
+            codes = asyncio.run(cluster.shutdown())
+        finally:
+            process.kill()
+            process.wait()
+            listener.close()
+        assert codes == {address.name: -signal.SIGTERM}
 
 
 @pytest.mark.slow
@@ -125,7 +274,7 @@ class TestRealProcessSupervision:
             restarted = cluster.restart_worker(worker.name)
             assert restarted is worker
             assert worker.restarts == 1
-            assert worker.past_exits == [-9]
+            assert worker.process is not process
         finally:
             cluster.kill()
             worker.process.wait()
@@ -188,8 +337,7 @@ class TestProcStats:
             assert process.stdout.readline() == b"ready\n"
             live = worker.resources()
             assert live is not None and live["rss_bytes"] > 0
-            entry = asyncio.run(cluster.health())[worker.name]
-            assert entry["resources"] == pytest.approx(live, rel=0.5)
+            assert worker.resources() == pytest.approx(live, rel=0.5)
             assert "rss=" in cluster.describe()
         finally:
             cluster.kill()

@@ -41,7 +41,7 @@ def test_live_cluster_reconfigures_and_stays_linearizable() -> None:
         )
         await generator.start()
         try:
-            await generator.wait_cluster_healthy(deadline=10.0)
+            await generator.wait_cluster_healthy()
 
             first = await generator.run_phase(
                 "W=4", duration=0.8, write_quorum=4
@@ -157,7 +157,7 @@ def test_wal_backed_replica_crashes_and_rejoins_quarantined(
         )
         await generator.start()
         try:
-            await generator.wait_cluster_healthy(deadline=10.0)
+            await generator.wait_cluster_healthy()
             first = await generator.run_phase(
                 "W=4", duration=0.8, write_quorum=4
             )

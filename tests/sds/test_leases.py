@@ -373,21 +373,6 @@ class TestClusterFastPath:
             s.leases_granted == 0 for s in tiny_cluster.storage_nodes
         )
 
-    def test_runtime_toggle_disables_and_drops(self) -> None:
-        cluster = lease_cluster()
-        client = ScriptedClient(cluster)
-        proxy = cluster.proxies[0]
-        warm_lease(cluster, client, "doc")
-        proxy.set_lease_reads(False)
-        assert proxy.leases_held() == 0
-
-        def read_again():
-            version = yield client.get("doc")
-            assert version.value == b"v1"
-
-        cluster.sim.run_process(read_again())
-        assert proxy.lease_read_hits == 0
-
 
 class TestClusterInvalidation:
     def test_foreign_write_forces_quorum_fallback_with_fresh_value(

@@ -71,16 +71,6 @@ def test_stale_and_repeated_epochs_are_ignored() -> None:
     assert router.table.epochs()["shard-1"] == 3
 
 
-def test_bulk_epoch_feed_reports_only_advances() -> None:
-    router = make_router()
-    assert router.note_epochs({"shard-0": 2, "shard-1": 0}) == [
-        "shard-0",
-        "shard-1",
-    ]
-    assert router.note_epochs({"shard-0": 2, "shard-1": 5}) == ["shard-1"]
-    assert router.refreshes == 3
-
-
 def test_router_requires_a_proxy_per_shard() -> None:
     with pytest.raises(ConfigurationError):
         ShardRouter(ShardMap(SHARDS), {"shard-0": [NodeId.proxy(0)]})

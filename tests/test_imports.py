@@ -45,7 +45,6 @@ WORKER_FORBIDDEN = (
     "repro.net.chaos",
     "repro.net.smoke",
     "repro.net.scaleout",
-    "repro.net.nemesis",
 )
 
 #: Runs ``python -m repro serve`` for one node up to the point where the
