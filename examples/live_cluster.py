@@ -76,7 +76,6 @@ async def run() -> None:
             result = generator.result()
             print(
                 f"\nhistory of {result.history_records} operations: "
-                f"{result.consistency_violations} violations, "
                 f"linearizable={result.linearizable}"
             )
 

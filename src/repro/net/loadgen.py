@@ -122,14 +122,14 @@ class ShardOutcome:
 
     shard: str
     records: int
-    violations: int
+    #: ``False`` on any violation, ``None`` when the search budget was
+    #: exceeded (neither proved nor refuted).
     linearizable: Optional[bool]
 
     def as_dict(self) -> dict:
         return {
             "shard": self.shard,
             "records": self.records,
-            "violations": self.violations,
             "linearizable": self.linearizable,
         }
 
@@ -229,10 +229,6 @@ class LoadgenResult:
         return sum(outcome.records for outcome in self.shard_outcomes)
 
     @property
-    def consistency_violations(self) -> int:
-        return sum(outcome.violations for outcome in self.shard_outcomes)
-
-    @property
     def linearizable(self) -> Optional[bool]:
         verdicts = [outcome.linearizable for outcome in self.shard_outcomes]
         if any(verdict is False for verdict in verdicts):
@@ -264,10 +260,6 @@ class LoadgenResult:
         sharded = len(self.shard_outcomes) > 1
         for outcome in self.shard_outcomes:
             where = f"shard {outcome.shard}: " if sharded else ""
-            if outcome.violations:
-                problems.append(
-                    f"{where}{outcome.violations} consistency violations"
-                )
             if outcome.linearizable is None:
                 problems.append(
                     f"{where}linearizability unverified: search budget "
@@ -314,7 +306,6 @@ class LoadgenResult:
                 else round(self.reconfig_seconds, 3)
             ),
             "history_records": self.history_records,
-            "consistency_violations": self.consistency_violations,
             "linearizable": self.linearizable,
             "aggregate_latency_s": self.aggregate_latencies(),
             "ok": not problems,
@@ -347,7 +338,6 @@ class LoadgenResult:
             )
         lines.append(
             f"  history: {self.history_records} records, "
-            f"{self.consistency_violations} violations, "
             f"linearizable={self.linearizable}"
         )
         if len(self.shard_outcomes) > 1:
@@ -665,10 +655,8 @@ class LoadGenerator:
 
     # -- reporting -----------------------------------------------------------
 
-    def check_history(
-        self, max_states: int = 2_000_000
-    ) -> List[ShardOutcome]:
-        """Consistency + Wing-Gong linearizability, per owning shard.
+    def check_history(self) -> List[ShardOutcome]:
+        """Wing-Gong linearizability, per owning shard.
 
         Sharding makes the split sound, not just cheaper: objects never
         span shards, linearizability is local to an object's shard, and
@@ -676,39 +664,22 @@ class LoadGenerator:
         ring is one ``shard-0`` holding the whole history.  Reads that
         completed without observing any write decode against the
         register's initial value; the checker handles that natively.
-        ``linearizable`` is ``None`` when the search budget was
-        exceeded.  The budget is sized for pipelined fleets: depth
-        ``d`` clients keep ``d`` operations per client concurrent, which
-        widens every Wing-Gong chunk the search must clear.
         """
         checkers = {
             name: HistoryChecker() for name in self.shard_map.shard_names
         }
-        counts = {name: 0 for name in self.shard_map.shard_names}
         for op_record in self.records:
             shard = self.shard_map.shard_of(op_record.object_id)
             checkers[shard].record(op_record)
-            counts[shard] += 1
         outcomes: List[ShardOutcome] = []
-        for name in self.shard_map.shard_names:
-            checker = checkers[name]
-            violations = list(checker.check())
+        for name, checker in checkers.items():
             linearizable: Optional[bool]
             try:
-                lin_violations = checker.check_linearizable(
-                    max_states=max_states
-                )
-                linearizable = not lin_violations
-                violations.extend(lin_violations)
+                linearizable = not checker.check()
             except SearchBudgetExceeded:
                 linearizable = None  # not refuted, just too costly
             outcomes.append(
-                ShardOutcome(
-                    shard=name,
-                    records=counts[name],
-                    violations=len(violations),
-                    linearizable=linearizable,
-                )
+                ShardOutcome(name, len(checker.records), linearizable)
             )
         return outcomes
 

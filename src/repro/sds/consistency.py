@@ -1,59 +1,50 @@
-"""History-based consistency checking.
+"""History-based consistency checking: one atomic-register oracle.
 
 The safety property Q-OPT preserves across reconfigurations is **Dynamic
 Quorum Consistency** (Section 5): a read's quorum intersects the write
 quorum of any concurrent write and, absent concurrent writes, of the
-last completed write.  Together with the total order on writes this
-yields regular-register semantics per object, strengthened to atomicity
-between non-concurrent reads by the freshest-timestamp selection rule.
+last completed write.  With the total order on writes, freshest-stamp
+read selection and the read write-back this makes every object an
+**atomic register**, which is what :class:`HistoryChecker` verifies from
+client-observed histories (:class:`~repro.sds.client.OperationRecord`),
+with no access to server internals.
 
-:class:`HistoryChecker` verifies both properties from client-observed
-histories (:class:`~repro.sds.client.OperationRecord`), with no access
-to server internals:
+:meth:`HistoryChecker.check` is the single verdict.  Per object it
+reports:
 
-1. **Plausibility** — every read returns either the initial value or the
-   value of a write that was invoked before the read completed.
-2. **No stale reads** — a read never returns a value overwritten by a
-   write that completed before the read was invoked (the interval-order
-   formulation of the regular-register condition).
-3. **Monotonic reads w.r.t. completed writes** — if an earlier,
-   non-concurrent read returned version ``v`` and ``v``'s write had
-   completed before the later read began, the later read returns a
-   version at least as new.
+* ``fabricated-value`` — a read returned a value no recorded write
+  wrote (such reads are left out of the search);
+* ``non-linearizable`` — the **Wing–Gong search** (Wing & Gong, 1993)
+  found no linearization of the history against an atomic register.
+  Values are globally unique per write, so the search state collapses
+  to (set of linearized operations, last linearized write) and memoized
+  reachability is complete.  The history splits at quiescent points
+  (every earlier operation has completed) into chunks searched
+  separately, with the possible register values threaded across each
+  boundary.  A failing chunk is explained by the first operation its
+  deepest partial linearization could not place;
+* ``write-order-inversion`` — the version-stamp order on writes
+  contradicts their real-time order.  The search reads values, not
+  stamps, so it cannot see this; the rule stays because it is what
+  shows the protocol does not need ``2W > N`` (docs/PROTOCOL.md, I1).
 
-Check 3 is deliberately *not* full atomicity: like the underlying
-quorum stores the paper builds on (and as the paper notes, the
-reconfiguration protocol is oblivious to "regular or atomic register"
-semantics), reads concurrent with an in-flight write may observe
-new-then-old across clients until that write completes.  Once a write
-completes — i.e. its full write quorum acknowledged — every subsequent
-read quorum intersects it and staleness is impossible, which is exactly
-what checks 2 and 3 verify.
-
-On top of those per-read interval checks, the module provides a
-**Wing–Gong linearizability checker** (:class:`LinearizabilityChecker`):
-a complete per-key search for a linearization of the observed history
-against an atomic-register specification.  Values are globally unique
-per write, so the search state collapses to (set of linearized
-operations, last linearized write) and memoized reachability decides
-each key in practice-linear time; independent time chunks (quiescent
-points where every earlier operation has completed) are checked
-separately with the possible register values threaded across the
-boundary.  Atomicity is *stronger* than the guarantee Q-OPT makes while
-a write is in flight, so :meth:`HistoryChecker.check` remains the
-protocol-level oracle; the linearizability checker is the strictest
-regression net for histories that should be atomic, and is what the
-integration suite and the fault-injection example run under.
+One search budget, :data:`MAX_STATES` explored states per chunk, bounds
+the cost; :class:`SearchBudgetExceeded` is raised when a chunk outgrows
+it — never a silent pass.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.common.types import ObjectId, OpType, VersionStamp
 from repro.sds.client import OperationRecord
+
+#: Explored (done-mask, register value) states allowed per chunk.  Sized
+#: for pipelined live fleets, whose depth-d clients keep d operations
+#: each in flight and so widen every chunk.
+MAX_STATES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -68,9 +59,30 @@ class Violation:
         return f"[{self.kind}] {self.object_id}: {self.description}"
 
 
+class SearchBudgetExceeded(RuntimeError):
+    """The state space of one chunk outgrew ``max_states``.
+
+    Distinct from a violation: the history was neither proved nor
+    refuted.  Raise the budget or reduce the history length.
+    """
+
+
+def _must_linearize(op: OperationRecord) -> bool:
+    """Reads always take effect; a write still pending at the end of the
+    history may or may not have."""
+    return op.op_type is OpType.READ or op.completed_at != float("inf")
+
+
 @dataclass
 class HistoryChecker:
-    """Collects operation records and checks register semantics."""
+    """Collects operation records and decides atomic-register semantics.
+
+    The specification: at its linearization point a write installs its
+    (globally unique) value and a read returns the value installed by
+    the most recently linearized write (``None`` before the first
+    write).  Writes that never completed (in flight at the end of the
+    run) may linearize or not; reads must always linearize.
+    """
 
     records: list[OperationRecord] = field(default_factory=list)
 
@@ -78,17 +90,24 @@ class HistoryChecker:
         """Recorder callback — pass ``checker.record`` to the clients."""
         self.records.append(record)
 
-    # -- checking -----------------------------------------------------------
+    def check(self, max_states: int = MAX_STATES) -> list[Violation]:
+        """Every violation in the collected history (empty: atomic).
 
-    def check(self) -> list[Violation]:
-        """Run all checks over the collected history."""
-        violations: list[Violation] = []
+        Raises :class:`SearchBudgetExceeded` when one chunk's search
+        explores more than ``max_states`` states.
+        """
         by_object: dict[ObjectId, list[OperationRecord]] = {}
         for record in self.records:
             by_object.setdefault(record.object_id, []).append(record)
+        violations: list[Violation] = []
         for object_id, history in by_object.items():
-            violations.extend(self._check_object(object_id, history))
+            violations.extend(
+                self._check_object(object_id, history, max_states)
+            )
         return violations
+
+    # Former name of the search, still called by benchmarks/live/livebench.
+    check_linearizable = check
 
     def assert_consistent(self) -> None:
         """Raise ``AssertionError`` listing any violations."""
@@ -99,41 +118,17 @@ class HistoryChecker:
                 f"{len(violations)} consistency violations, e.g.:\n{summary}"
             )
 
-    def check_linearizable(
-        self, max_states: int = 1_000_000
-    ) -> list[Violation]:
-        """Full Wing–Gong search over the history (atomic register).
-
-        Strictly stronger than :meth:`check`: a pass here implies a pass
-        there, but histories that legally show new-then-old across an
-        in-flight write (regular-register behaviour) fail this check
-        while passing :meth:`check`.
-        """
-        checker = LinearizabilityChecker(max_states=max_states)
-        return checker.check(self.records)
-
-    def assert_linearizable(self, max_states: int = 1_000_000) -> None:
-        """Raise ``AssertionError`` listing linearizability violations."""
-        violations = self.check_linearizable(max_states=max_states)
-        if violations:
-            summary = "\n".join(str(v) for v in violations[:10])
-            raise AssertionError(
-                f"{len(violations)} linearizability violations, e.g.:\n"
-                f"{summary}"
-            )
-
-    # -- per-object logic ------------------------------------------------------
+    # -- per-object pass ------------------------------------------------------
 
     def _check_object(
-        self, object_id: ObjectId, history: list[OperationRecord]
+        self,
+        object_id: ObjectId,
+        history: list[OperationRecord],
+        max_states: int,
     ) -> list[Violation]:
-        violations: list[Violation] = []
-        reads = [r for r in history if r.op_type is OpType.READ]
         # Clients record every write twice: at invocation (with an
         # infinite completion time) and at completion.  Keep one record
-        # per value, preferring the completed one; a write that never
-        # completed stays with completed_at = inf and can never make a
-        # later read stale.
+        # per value, preferring the completed one.
         write_by_value: dict[bytes, OperationRecord] = {}
         for record in history:
             if record.op_type is not OpType.WRITE or record.value is None:
@@ -141,147 +136,199 @@ class HistoryChecker:
             existing = write_by_value.get(record.value)
             if existing is None or record.completed_at < existing.completed_at:
                 write_by_value[record.value] = record
-        writes = list(write_by_value.values())
 
-        # Precompute, over writes sorted by completion time, the running
-        # maximum of invocation times: for a read invoked at t, the
-        # largest write-invocation time among writes completed before t
-        # tells us whether any completed write strictly follows a
-        # candidate returned write in the interval order.
-        writes_by_completion = sorted(writes, key=lambda w: w.completed_at)
-        completion_times = [w.completed_at for w in writes_by_completion]
-        prefix_max_invocation: list[float] = []
-        running = float("-inf")
-        for write in writes_by_completion:
-            running = max(running, write.invoked_at)
-            prefix_max_invocation.append(running)
-
-        for read in reads:
-            # 1. Plausibility.
-            source: Optional[OperationRecord] = None
-            if read.value is not None:
-                source = write_by_value.get(read.value)
-                if source is None:
-                    violations.append(
-                        Violation(
-                            kind="fabricated-value",
-                            object_id=object_id,
-                            description=(
-                                f"read at {read.invoked_at:.4f} returned "
-                                f"{read.value!r}, written by no recorded write"
-                            ),
-                        )
-                    )
-                    continue
-                if source.invoked_at >= read.completed_at:
-                    violations.append(
-                        Violation(
-                            kind="future-read",
-                            object_id=object_id,
-                            description=(
-                                f"read completed at {read.completed_at:.4f} "
-                                "returned a value whose write started at "
-                                f"{source.invoked_at:.4f}"
-                            ),
-                        )
-                    )
-                    continue
-
-            # 2. Staleness: is there a write w' completed before this
-            # read started, such that the returned write finished before
-            # w' began?  (The returned write was then overwritten by a
-            # non-concurrent, completed write.)
-            index = bisect.bisect_left(completion_times, read.invoked_at)
-            if index > 0:
-                latest_follower_invocation = prefix_max_invocation[index - 1]
-                source_completed = (
-                    source.completed_at if source is not None else float("-inf")
-                )
-                if source_completed < latest_follower_invocation:
-                    violations.append(
-                        Violation(
-                            kind="stale-read",
-                            object_id=object_id,
-                            description=(
-                                f"read invoked at {read.invoked_at:.4f} "
-                                "missed a write that completed earlier "
-                                "and did not overlap the returned write"
-                            ),
-                        )
-                    )
-
-        # 3. Monotonic reads w.r.t. completed writes: an earlier read's
-        # observation becomes binding once BOTH the read itself and the
-        # write that produced its value have completed.  An observation's
-        # "availability time" is therefore max(read completion, source
-        # write completion); any read invoked after that must return a
-        # stamp at least as new.
-        observations: list[tuple[float, OperationRecord]] = []
-        for read in reads:
-            if read.value is None:
+        violations: list[Violation] = []
+        reads: list[OperationRecord] = []
+        for record in history:
+            if record.op_type is not OpType.READ:
                 continue
-            source = write_by_value.get(read.value)
-            if source is None:
-                continue  # already reported as fabricated
-            available_at = max(read.completed_at, source.completed_at)
-            if available_at != float("inf"):
-                observations.append((available_at, read))
-        observations.sort(key=lambda pair: pair[0])
-        reads_by_invocation = sorted(reads, key=lambda r: r.invoked_at)
-        best_stamp = None
-        pointer = 0
-        for read in reads_by_invocation:
-            while (
-                pointer < len(observations)
-                and observations[pointer][0] < read.invoked_at
-            ):
-                candidate = observations[pointer][1].stamp
-                if best_stamp is None or candidate > best_stamp:
-                    best_stamp = candidate
-                pointer += 1
-            if best_stamp is not None and read.stamp < best_stamp:
+            if record.value is not None and record.value not in write_by_value:
                 violations.append(
                     Violation(
-                        kind="non-monotonic-read",
+                        kind="fabricated-value",
                         object_id=object_id,
                         description=(
-                            f"read invoked at {read.invoked_at:.4f} returned "
-                            f"stamp {read.stamp}, older than the stamp "
-                            f"{best_stamp} observed by an earlier read of a "
-                            "write that had already completed"
+                            f"read at {record.invoked_at:.4f} returned "
+                            f"{record.value!r}, written by no recorded write"
                         ),
                     )
                 )
+            else:
+                reads.append(record)
 
-        # 4. Write-order consistency: the version-stamp total order on
-        # writes must extend their real-time order.  A write's stamp is
-        # only observable through the reads that returned its value, so
-        # the check covers every pair of non-concurrent writes whose
-        # values were both read at least once.
+        possible_values: frozenset[Optional[bytes]] = frozenset({None})
+        for chunk in self._chunks([*reads, *write_by_value.values()]):
+            final_values, seen = self._search_chunk(
+                chunk, possible_values, max_states
+            )
+            if final_values:
+                possible_values = final_values
+                continue
+            violations.append(
+                self._diagnose(object_id, chunk, possible_values, seen)
+            )
+            # Restart from an unconstrained value so later chunks still
+            # get checked instead of cascading failures.
+            possible_values = frozenset({None, *write_by_value})
+
         violations.extend(
-            self._check_write_order(object_id, reads, writes)
+            self._check_write_order(
+                object_id, reads, list(write_by_value.values())
+            )
         )
         return violations
 
+    @staticmethod
+    def _chunks(ops: list[OperationRecord]) -> list[list[OperationRecord]]:
+        """Split at quiescent points (every earlier op strictly done).
+
+        Each chunk comes out sorted by ``(invoked_at, completed_at)``,
+        the order :meth:`_search_chunk` relies on.
+        """
+        ordered = sorted(
+            ops, key=lambda op: (op.invoked_at, op.completed_at)
+        )
+        chunks: list[list[OperationRecord]] = []
+        current: list[OperationRecord] = []
+        horizon = float("-inf")
+        for op in ordered:
+            if current and horizon < op.invoked_at:
+                chunks.append(current)
+                current = []
+            current.append(op)
+            horizon = max(horizon, op.completed_at)
+        if current:
+            chunks.append(current)
+        return chunks
+
+    @staticmethod
+    def _search_chunk(
+        chunk: list[OperationRecord],
+        initial_values: frozenset[Optional[bytes]],
+        max_states: int,
+    ) -> tuple[frozenset[Optional[bytes]], set[tuple[int, Optional[bytes]]]]:
+        """Reachability over (done-mask, register value) states.
+
+        Returns the possible register values after the chunk (empty when
+        no linearization exists) and the explored states.
+
+        An op may linearize next exactly when no undone op completed
+        before it was invoked.  With the chunk in invocation order, the
+        candidates start at the lowest undone op and end at the first op
+        invoked after the smallest completion time among the undone ops
+        before it; every later op is invoked later still.
+        """
+        n = len(chunk)
+        invoked = [op.invoked_at for op in chunk]
+        completed = [op.completed_at for op in chunk]
+        is_read = [op.op_type is OpType.READ for op in chunk]
+        values = [op.value for op in chunk]
+        everything = (1 << n) - 1
+        required = 0
+        for i, op in enumerate(chunk):
+            if _must_linearize(op):
+                required |= 1 << i
+
+        seen: set[tuple[int, Optional[bytes]]] = {
+            (0, value) for value in initial_values
+        }
+        stack = list(seen)
+        final_values: set[Optional[bytes]] = set()
+        while stack:
+            done, value = stack.pop()
+            if done & required == required:
+                # Pending writes (completed_at = inf) keep the chunk
+                # open to the end of the history, so any state covering
+                # ``required`` is a complete linearization of the chunk.
+                final_values.add(value)
+            undone = everything & ~done
+            if not undone:
+                continue
+            horizon = float("inf")
+            for i in range((undone & -undone).bit_length() - 1, n):
+                if invoked[i] > horizon:
+                    break
+                bit = 1 << i
+                if done & bit:
+                    continue
+                if completed[i] < horizon:
+                    horizon = completed[i]
+                if not is_read[i]:
+                    state = (done | bit, values[i])
+                elif values[i] == value:
+                    state = (done | bit, value)
+                else:
+                    continue
+                if state not in seen:
+                    if len(seen) >= max_states:
+                        raise SearchBudgetExceeded(
+                            f"linearizability search exceeded "
+                            f"{max_states} states on a chunk of "
+                            f"{n} operations"
+                        )
+                    seen.add(state)
+                    stack.append(state)
+        return frozenset(final_values), seen
+
+    @staticmethod
+    def _diagnose(
+        object_id: ObjectId,
+        chunk: list[OperationRecord],
+        initial_values: frozenset[Optional[bytes]],
+        seen: set[tuple[int, Optional[bytes]]],
+    ) -> Violation:
+        """Name the op the deepest partial linearization could not place."""
+        # A max under a total order is the same in any iteration order.
+        deepest = max(
+            (done for done, _ in seen),  # qlint: ok QD003
+            key=lambda done: (bin(done).count("1"), done),
+        )
+        stuck = next(
+            op
+            for i, op in enumerate(chunk)
+            if not deepest >> i & 1 and _must_linearize(op)
+        )
+        start = chunk[0].invoked_at
+        end = max(
+            op.completed_at
+            for op in chunk
+            if op.completed_at != float("inf")
+        )
+        reads = sum(1 for op in chunk if op.op_type is OpType.READ)
+        return Violation(
+            kind="non-linearizable",
+            object_id=object_id,
+            description=(
+                f"no linearization exists for the {len(chunk)} operations "
+                f"({reads} reads, {len(chunk) - reads} writes) in "
+                f"[{start:.4f}, {end:.4f}] given possible initial "
+                f"values {sorted(map(repr, initial_values))}: the deepest "
+                f"partial linearization places {bin(deepest).count('1')} "
+                f"of them and cannot place the {stuck.op_type.value} invoked at "
+                f"{stuck.invoked_at:.4f} with value {stuck.value!r}"
+            ),
+        )
+
+    @staticmethod
     def _check_write_order(
-        self,
         object_id: ObjectId,
         reads: list[OperationRecord],
         writes: list[OperationRecord],
     ) -> list[Violation]:
+        """The version-stamp total order on writes must extend their
+        real-time order.  A write's stamp is only observable through
+        the reads that returned its value, so the rule covers every pair
+        of non-concurrent writes whose values were both read."""
         stamp_of: dict[bytes, VersionStamp] = {}
         for read in reads:
             if read.value is not None:
                 stamp_of.setdefault(read.value, read.stamp)
-        stamped = [
-            w for w in writes if w.value in stamp_of
-        ]
+        stamped = [w for w in writes if w.value in stamp_of]
         violations: list[Violation] = []
         by_invocation = sorted(stamped, key=lambda w: w.invoked_at)
         by_completion = sorted(stamped, key=lambda w: w.completed_at)
         pointer = 0
-        best_stamp = None
-        best_write: Optional[OperationRecord] = None
+        best_stamp: Optional[VersionStamp] = None
         for write in by_invocation:
             while (
                 pointer < len(by_completion)
@@ -290,13 +337,8 @@ class HistoryChecker:
                 candidate = stamp_of[by_completion[pointer].value]
                 if best_stamp is None or candidate > best_stamp:
                     best_stamp = candidate
-                    best_write = by_completion[pointer]
                 pointer += 1
-            if (
-                best_stamp is not None
-                and best_write is not None
-                and stamp_of[write.value] < best_stamp
-            ):
+            if best_stamp is not None and stamp_of[write.value] < best_stamp:
                 violations.append(
                     Violation(
                         kind="write-order-inversion",
@@ -311,246 +353,3 @@ class HistoryChecker:
                     )
                 )
         return violations
-
-
-# -- Wing–Gong linearizability ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _LinOp:
-    """One operation in the per-key linearizability search."""
-
-    index: int
-    op_type: OpType
-    invoked_at: float
-    completed_at: float
-    value: Optional[bytes]
-
-    @property
-    def pending(self) -> bool:
-        return self.completed_at == float("inf")
-
-
-class SearchBudgetExceeded(RuntimeError):
-    """The state space of one chunk outgrew ``max_states``.
-
-    Distinct from a violation: the history was neither proved nor
-    refuted.  Raise the budget or reduce the history length.
-    """
-
-
-class LinearizabilityChecker:
-    """Complete per-key linearizability check (Wing & Gong, 1993).
-
-    The specification is an atomic register: at its linearization point
-    a write installs its (globally unique) value and a read returns the
-    value installed by the most recently linearized write (``None``
-    before the first write).  The search explores every linearization
-    consistent with the real-time partial order, memoizing on the state
-    ``(set of linearized ops, last linearized write)`` — with unique
-    write values this is exactly the information the future depends on,
-    so the memoized reachability search is complete.
-
-    Two scale levers keep the search tractable on long histories:
-
-    * **Quiescence chunking** — at any instant where every earlier
-      operation has completed, the history splits into independent
-      chunks; only the set of *possible register values* crosses the
-      boundary.
-    * **State budget** — a hard cap on explored states per chunk
-      (:class:`SearchBudgetExceeded` when exceeded, never a silent
-      pass).
-
-    Writes that never completed (in-flight at the end of the run) may
-    linearize or not; reads are always required to linearize.
-    """
-
-    def __init__(self, max_states: int = 1_000_000) -> None:
-        self._max_states = max_states
-
-    # -- public API ---------------------------------------------------------
-
-    def check(
-        self, records: Sequence[OperationRecord]
-    ) -> list[Violation]:
-        """All linearizability violations over the record set."""
-        by_object: dict[ObjectId, list[OperationRecord]] = {}
-        for record in records:
-            by_object.setdefault(record.object_id, []).append(record)
-        violations: list[Violation] = []
-        for object_id, history in by_object.items():
-            violations.extend(self._check_object(object_id, history))
-        return violations
-
-    # -- per-object search --------------------------------------------------
-
-    def _check_object(
-        self, object_id: ObjectId, history: list[OperationRecord]
-    ) -> list[Violation]:
-        write_by_value: dict[bytes, OperationRecord] = {}
-        for record in history:
-            if record.op_type is not OpType.WRITE or record.value is None:
-                continue
-            existing = write_by_value.get(record.value)
-            if existing is None or record.completed_at < existing.completed_at:
-                write_by_value[record.value] = record
-
-        ops: list[_LinOp] = []
-        violations: list[Violation] = []
-        for record in history:
-            if record.op_type is OpType.READ:
-                if (
-                    record.value is not None
-                    and record.value not in write_by_value
-                ):
-                    violations.append(
-                        Violation(
-                            kind="fabricated-value",
-                            object_id=object_id,
-                            description=(
-                                f"read at {record.invoked_at:.4f} returned "
-                                f"{record.value!r}, written by no recorded "
-                                "write — excluded from the linearization "
-                                "search"
-                            ),
-                        )
-                    )
-                    continue
-                ops.append(
-                    _LinOp(
-                        index=len(ops),
-                        op_type=OpType.READ,
-                        invoked_at=record.invoked_at,
-                        completed_at=record.completed_at,
-                        value=record.value,
-                    )
-                )
-        for record in write_by_value.values():
-            ops.append(
-                _LinOp(
-                    index=len(ops),
-                    op_type=OpType.WRITE,
-                    invoked_at=record.invoked_at,
-                    completed_at=record.completed_at,
-                    value=record.value,
-                )
-            )
-
-        possible_values: frozenset[Optional[bytes]] = frozenset({None})
-        for chunk in self._chunks(ops):
-            outcome = self._search_chunk(chunk, possible_values)
-            if outcome is None:
-                violations.append(
-                    self._diagnose(object_id, chunk, possible_values)
-                )
-                # Restart from an unconstrained value so later chunks
-                # still get checked instead of cascading failures.
-                possible_values = frozenset(
-                    {None} | {op.value for op in ops if op.op_type is OpType.WRITE}
-                )
-            else:
-                possible_values = outcome
-        return violations
-
-    @staticmethod
-    def _chunks(ops: list[_LinOp]) -> list[list[_LinOp]]:
-        """Split at quiescent points (every earlier op strictly done)."""
-        ordered = sorted(
-            ops, key=lambda op: (op.invoked_at, op.completed_at, op.index)
-        )
-        chunks: list[list[_LinOp]] = []
-        current: list[_LinOp] = []
-        horizon = float("-inf")
-        for op in ordered:
-            if current and horizon < op.invoked_at:
-                chunks.append(current)
-                current = []
-            current.append(op)
-            horizon = max(horizon, op.completed_at)
-        if current:
-            chunks.append(current)
-        return chunks
-
-    def _search_chunk(
-        self,
-        chunk: list[_LinOp],
-        initial_values: frozenset[Optional[bytes]],
-    ) -> Optional[frozenset[Optional[bytes]]]:
-        """Reachability over (done-mask, register value) states.
-
-        Returns the set of possible register values after the chunk, or
-        None when no linearization exists.
-        """
-        n = len(chunk)
-        # pred[i]: mask of ops that must linearize before op i.
-        pred = [0] * n
-        for i, a in enumerate(chunk):
-            for j, b in enumerate(chunk):
-                if i != j and b.completed_at < a.invoked_at:
-                    pred[i] |= 1 << j
-        required = 0
-        for i, op in enumerate(chunk):
-            if not (op.pending and op.op_type is OpType.WRITE):
-                required |= 1 << i
-
-        start_states = {(0, value) for value in initial_values}
-        seen: set[tuple[int, Optional[bytes]]] = set(start_states)
-        stack = list(start_states)
-        final_values: set[Optional[bytes]] = set()
-        success = False
-        while stack:
-            done, value = stack.pop()
-            if done & required == required:
-                # Pending writes (completed_at = inf) keep the chunk
-                # open to the end of the history, so any state covering
-                # ``required`` is a complete linearization of the chunk.
-                success = True
-                final_values.add(value)
-            for i in range(n):
-                bit = 1 << i
-                if done & bit or pred[i] & ~done:
-                    continue
-                op = chunk[i]
-                if op.op_type is OpType.READ and op.value != value:
-                    continue
-                next_value = (
-                    op.value if op.op_type is OpType.WRITE else value
-                )
-                state = (done | bit, next_value)
-                if state not in seen:
-                    if len(seen) >= self._max_states:
-                        raise SearchBudgetExceeded(
-                            f"linearizability search exceeded "
-                            f"{self._max_states} states on a chunk of "
-                            f"{n} operations"
-                        )
-                    seen.add(state)
-                    stack.append(state)
-        if not success:
-            return None
-        return frozenset(final_values)
-
-    @staticmethod
-    def _diagnose(
-        object_id: ObjectId,
-        chunk: list[_LinOp],
-        initial_values: frozenset[Optional[bytes]],
-    ) -> Violation:
-        start = min(op.invoked_at for op in chunk)
-        end = max(
-            op.completed_at
-            for op in chunk
-            if op.completed_at != float("inf")
-        )
-        reads = sum(1 for op in chunk if op.op_type is OpType.READ)
-        writes = len(chunk) - reads
-        return Violation(
-            kind="non-linearizable",
-            object_id=object_id,
-            description=(
-                f"no linearization exists for the {len(chunk)} operations "
-                f"({reads} reads, {writes} writes) in "
-                f"[{start:.4f}, {end:.4f}] given possible initial "
-                f"values {sorted(map(repr, initial_values))}"
-            ),
-        )

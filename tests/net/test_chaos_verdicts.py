@@ -195,7 +195,7 @@ class TestChaosVerdicts:
                 chaos_phase(READBACK, readback_failed),
             ],
             reconfig_seconds=0.1,
-            shard_outcomes=[ShardOutcome("shard-0", 300, 0, True)],
+            shard_outcomes=[ShardOutcome("shard-0", 300, True)],
             checks=ChaosReport(**defaults),
         )
 

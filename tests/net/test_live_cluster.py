@@ -59,7 +59,6 @@ def test_live_cluster_reconfigures_and_stays_linearizable() -> None:
             assert second.failed == 0
 
             result = generator.result()
-            assert result.consistency_violations == 0
             assert result.linearizable is True
             assert result.reconfig_seconds == took
 
@@ -201,7 +200,7 @@ def test_wal_backed_replica_crashes_and_rejoins_quarantined(
                 "W=4-after", duration=0.5, write_quorum=4
             )
             assert second.operations > 0
-            assert generator.result().consistency_violations == 0
+            assert generator.result().linearizable is True
         finally:
             await generator.stop()
             for runtime in runtimes.values():

@@ -91,10 +91,10 @@ class TestMergedLatencySummary:
 
 
 def outcomes(*verdicts) -> list:
-    """One :class:`ShardOutcome` per ``(records, violations, linearizable)``."""
+    """One :class:`ShardOutcome` per ``(records, linearizable)``."""
     return [
-        ShardOutcome(f"shard-{index}", records, violations, linearizable)
-        for index, (records, violations, linearizable) in enumerate(verdicts)
+        ShardOutcome(f"shard-{index}", records, linearizable)
+        for index, (records, linearizable) in enumerate(verdicts)
     ]
 
 
@@ -103,7 +103,7 @@ class TestLoadgenResultAggregate:
         defaults = dict(
             phases=[phase("fast", FAST), phase("slow", SLOW)],
             reconfig_seconds=None,
-            shard_outcomes=outcomes((1020, 0, True)),
+            shard_outcomes=outcomes((1020, True)),
         )
         defaults.update(kwargs)
         return LoadgenResult(**defaults)
@@ -122,7 +122,7 @@ class TestLoadgenResultAggregate:
 
     def test_as_dict_carries_the_aggregate_and_shard_verdicts(self) -> None:
         result = self.make_result(
-            shard_outcomes=outcomes((600, 0, True), (420, 0, True))
+            shard_outcomes=outcomes((600, True), (420, True))
         )
         payload = result.as_dict()
         assert payload["ok"] is True
@@ -138,18 +138,15 @@ class TestLoadgenResultAggregate:
         payload = self.make_result().as_dict()
         assert "shard_outcomes" not in payload
         assert payload["linearizable"] is True
-        assert payload["consistency_violations"] == 0
 
     def test_per_shard_failures_are_problems(self) -> None:
         result = self.make_result(
-            shard_outcomes=outcomes((600, 2, False), (420, 0, None))
+            shard_outcomes=outcomes((600, False), (420, None))
         )
         problems = result.problems()
-        assert any("shard-0: 2 consistency" in p for p in problems)
         assert any("shard-0: history is not" in p for p in problems)
         assert any("shard-1: linearizability unverified" in p
                    for p in problems)
-        assert result.consistency_violations == 2
         assert result.linearizable is False
         assert result.as_dict()["ok"] is False
 
@@ -170,7 +167,7 @@ class TestSmokeVerdicts:
         return LoadgenResult(
             phases=[phase("W=4", FAST), phase("W=2", FAST)],
             reconfig_seconds=0.1,
-            shard_outcomes=outcomes((2000, 0, linearizable)),
+            shard_outcomes=outcomes((2000, linearizable)),
             checks=SmokeReport(
                 scrapes=scrapes if scrapes is not None
                 else {"proxy-0": dict(self.SAMPLES)}
@@ -218,7 +215,7 @@ class TestScaleoutReport:
         defaults = dict(
             phases=phases,
             reconfig_seconds=0.4,
-            shard_outcomes=outcomes((1500, 0, True), (1560, 0, True)),
+            shard_outcomes=outcomes((1500, True), (1560, True)),
         )
         defaults.update(kwargs)
         return LoadgenResult(**defaults)
@@ -227,7 +224,7 @@ class TestScaleoutReport:
         return LoadgenResult(
             phases=[phase("single-ring", samples)],
             reconfig_seconds=None,
-            shard_outcomes=outcomes((len(samples), 0, True)),
+            shard_outcomes=outcomes((len(samples), True)),
             **kwargs,
         )
 

@@ -64,6 +64,5 @@ def test_live_cluster(capsys):
     out = run_example("live_cluster.py", capsys)
     assert "live reconfiguration to W=2" in out
     assert "linearizable=True" in out
-    assert "0 violations" in out
     assert "cluster shut down cleanly: True" in out
     assert "tuning continued" in out
