@@ -244,6 +244,7 @@ class HistoryChecker:
             undone = everything & ~done
             if not undone:
                 continue
+            successors = []
             horizon = float("inf")
             for i in range((undone & -undone).bit_length() - 1, n):
                 if invoked[i] > horizon:
@@ -254,11 +255,16 @@ class HistoryChecker:
                 if completed[i] < horizon:
                     horizon = completed[i]
                 if not is_read[i]:
-                    state = (done | bit, values[i])
+                    successors.append((done | bit, values[i]))
                 elif values[i] == value:
-                    state = (done | bit, value)
-                else:
-                    continue
+                    # Partial-order reduction: any linearization from
+                    # here can be reordered to place this enabled read
+                    # first (no undone op must precede it, and a read
+                    # moves no register value), so it is the only
+                    # successor worth exploring.
+                    successors = [(done | bit, value)]
+                    break
+            for state in successors:
                 if state not in seen:
                     if len(seen) >= max_states:
                         raise SearchBudgetExceeded(

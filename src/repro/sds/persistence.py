@@ -4,21 +4,38 @@ The simulator prices durability in *modelled* seconds (the disk queue in
 :mod:`repro.sds.storage`), so its backend is a plain dict — byte-for-byte
 the behaviour the determinism tripwire pins.  The live runtime pays for
 durability in real syscalls instead: :class:`WalBackend` gives each
-``repro serve`` replica a crash-recoverable store built from two files,
+``repro serve`` replica a crash-recoverable store built from two files
+in one record format,
 
-* ``wal.bin``      — an append-only log of CRC-framed records, one per
-  applied write (and one per adopted epoch), reusing the deterministic
-  :mod:`repro.net.codec` value encoding for the record bodies;
-* ``snapshot.bin`` — a full CRC-framed dump of the version table, written
-  atomically (tmp + ``os.replace``) whenever the WAL grows past
-  ``snapshot_bytes``, after which the WAL is truncated.
+* ``wal.bin``      — an append-only log of CRC-framed records, one
+  ``put`` per applied write and one ``epoch`` per adopted epoch, reusing
+  the deterministic :mod:`repro.net.codec` value encoding for the bodies;
+* ``snapshot.bin`` — a *compacted* log: one fresh ``epoch`` record, then
+  each object's latest ``put`` frame copied byte for byte (CRC included)
+  from ``wal.bin`` or from the previous ``snapshot.bin``.  It is written
+  whenever the WAL grows past ``snapshot_bytes``, after which the WAL is
+  truncated.  Compaction never re-encodes a value: the backend remembers
+  where each object's latest frame lives and ``os.pread``\\ s it.
 
-Recovery replays snapshot then WAL, tolerating a torn tail: the first
-record whose length or CRC does not check out ends the replay and is
-truncated away (a ``kill -9`` mid-append loses at most the unsynced
-suffix — the quarantined-rejoin protocol re-fetches anything lost from a
-read quorum of peers before the replica serves reads again, invariant I6
-in ``docs/PROTOCOL.md``).
+Compaction ordering, each step durable before the next::
+
+    write snapshot.bin.tmp -> fsync(tmp) -> os.replace -> fsync(dir)
+                           -> truncate wal.bin -> fsync(wal)
+
+so a crash at any point leaves either the old snapshot with the full WAL
+or the new snapshot (whose records subsume the WAL's) — never the old
+snapshot with an emptied WAL.
+
+Recovery replays snapshot then WAL through one record handler.  The
+snapshot is accepted only whole: if any byte of it fails to parse into
+``put``/``epoch`` records it is discarded (``snapshots_discarded``) and
+the WAL still replays; the replica then rejoins quarantined and re-syncs
+from its peers.  The WAL tolerates a torn tail: the first record whose
+length, CRC or tag does not check out ends the replay and is truncated
+away (a ``kill -9`` mid-append loses at most the unsynced suffix — the
+quarantined-rejoin protocol re-fetches anything lost from a read quorum
+of peers before the replica serves reads again, invariant I6 in
+``docs/PROTOCOL.md``).
 
 fsync policy: appends are batched — the file is flushed and fsynced once
 every ``fsync_batch`` records, on snapshot, and on close; the storage
@@ -32,7 +49,7 @@ from __future__ import annotations
 
 import os
 import zlib
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import BinaryIO, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.common.errors import ConfigurationError
 from repro.common.types import ObjectId, Version
@@ -43,9 +60,14 @@ from repro.sds.quorum import QuorumPlan
 _RECORD_HEADER = 8
 #: Refuse to parse absurd record lengths (corrupt header).
 _MAX_RECORD = 64 * 1024 * 1024
+#: Tuple arity of each record tag; any other record is corrupt.
+_ARITY = {"put": 3, "epoch": 4}
 
 _SNAPSHOT_NAME = "snapshot.bin"
 _WAL_NAME = "wal.bin"
+
+#: Where one record's whole frame lives: (offset, frame length).
+_Extent = Tuple[int, int]
 
 
 def _frame(body: bytes) -> bytes:
@@ -56,33 +78,54 @@ def _frame(body: bytes) -> bytes:
     )
 
 
-def _read_records(data: bytes) -> Tuple[list, int]:
-    """Parse CRC-framed records; returns ``(records, valid_bytes)``.
+def _known(record: object) -> bool:
+    return (
+        isinstance(record, tuple)
+        and len(record) > 0
+        and isinstance(record[0], str)
+        and _ARITY.get(record[0]) == len(record)
+    )
 
-    Stops at the first torn or corrupt record — everything before it is
-    intact (CRC-checked), everything after it is unreachable anyway
-    because records are parsed sequentially.
+
+def _read_records(data: bytes) -> Tuple[List[Tuple[_Extent, tuple]], int]:
+    """Parse CRC-framed records; returns ``([(extent, record)], valid)``.
+
+    Stops at the first torn, corrupt or unknown record — everything
+    before it is intact (CRC-checked), everything after it is unreachable
+    anyway because records are parsed sequentially.
     """
     records = []
+    view = memoryview(data)
     offset = 0
     total = len(data)
     while total - offset >= _RECORD_HEADER:
-        length = int.from_bytes(data[offset:offset + 4], "big")
+        length = int.from_bytes(view[offset:offset + 4], "big")
         if length > _MAX_RECORD:
             break
         end = offset + _RECORD_HEADER + length
         if end > total:
             break
-        crc = int.from_bytes(data[offset + 4:offset + 8], "big")
-        body = data[offset + _RECORD_HEADER:end]
+        crc = int.from_bytes(view[offset + 4:offset + 8], "big")
+        body = view[offset + _RECORD_HEADER:end]
         if (zlib.crc32(body) & 0xFFFFFFFF) != crc:
             break
         try:
-            records.append(decode_value(body))
+            record = decode_value(body)
         except CodecError:
             break
+        if not _known(record):
+            break
+        records.append(((offset, end - offset), record))
         offset = end
     return records, offset
+
+
+def _read_file(path: str) -> Optional[bytes]:
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except FileNotFoundError:
+        return None
 
 
 class MemoryBackend:
@@ -119,7 +162,7 @@ class MemoryBackend:
 
 
 class WalBackend:
-    """File-backed store: snapshot + append-only CRC-framed WAL."""
+    """File-backed store: compacted snapshot + append-only CRC-framed WAL."""
 
     durable = True
 
@@ -143,58 +186,71 @@ class WalBackend:
             self.wal_path
         )
         self.versions: Dict[ObjectId, Version] = {}
+        #: Per object, its latest ``put`` frame: (in the WAL?, extent).
+        self._frames: Dict[ObjectId, Tuple[bool, _Extent]] = {}
         self._epoch_no = 0
         self._cfg_no = 0
         self._plan: Optional[QuorumPlan] = None
         # Observability counters.
         self.records_replayed = 0
         self.records_truncated = 0
+        self.snapshots_discarded = 0
         self.records_appended = 0
         self.snapshots_taken = 0
         self.fsyncs = 0
-        self._load()
+        #: Read side of the accepted ``snapshot.bin``, if any, for
+        #: compaction's ``os.pread`` copies (``wal.bin``'s is below).
+        self._snapshot_reader: Optional[BinaryIO] = None
+        self._wal_bytes = self._load()
         self._wal = open(self.wal_path, "ab")
+        self._wal_reader = open(self.wal_path, "rb", buffering=0)
         self._pending = 0
         self._closed = False
 
     # -- recovery ------------------------------------------------------------
 
-    def _load(self) -> None:
-        if os.path.exists(self.snapshot_path):
-            with open(self.snapshot_path, "rb") as handle:
-                records, _valid = _read_records(handle.read())
-            # A snapshot is exactly one record; a torn snapshot (crashed
-            # before the atomic replace — impossible — or disk rot) is
-            # ignored: the WAL since the *previous* snapshot was already
-            # truncated, so state is rebuilt by the rejoin sync instead.
-            if records:
-                tag, epoch_no, cfg_no, plan, versions = records[0]
-                assert tag == "snapshot"
-                self._epoch_no = int(epoch_no)
-                self._cfg_no = int(cfg_no)
-                self._plan = plan
-                self.versions.update(versions)
-        if not os.path.exists(self.wal_path):
-            return
-        with open(self.wal_path, "rb") as handle:
-            data = handle.read()
+    def _load(self) -> int:
+        """Replay snapshot then WAL; returns the WAL's valid length."""
+        data = _read_file(self.snapshot_path)
+        if data is not None:
+            records, valid = _read_records(data)
+            # A snapshot starts with its epoch record and parses whole.
+            if valid == len(data) and records and records[0][1][0] == "epoch":
+                for extent, record in records:
+                    self._apply(record, False, extent)
+                self._snapshot_reader = open(
+                    self.snapshot_path, "rb", buffering=0
+                )
+            else:
+                # Torn, rotted or foreign (e.g. an older single-record
+                # dump): trust none of it.  The WAL still replays and the
+                # quarantined rejoin re-syncs whatever the snapshot held.
+                self.snapshots_discarded += 1
+        data = _read_file(self.wal_path)
+        if data is None:
+            return 0
         records, valid = _read_records(data)
-        for record in records:
+        for extent, record in records:
             self.records_replayed += 1
-            if record[0] == "put":
-                _tag, object_id, version = record
-                self.versions[object_id] = version
-            elif record[0] == "epoch":
-                _tag, epoch_no, cfg_no, plan = record
-                self._epoch_no = int(epoch_no)
-                self._cfg_no = int(cfg_no)
-                self._plan = plan
+            self._apply(record, True, extent)
         if valid < len(data):
             # Torn tail from a crash mid-append: cut it off so the next
             # append does not splice new records after garbage.
             self.records_truncated += 1
             with open(self.wal_path, "r+b") as handle:
                 handle.truncate(valid)
+        return valid
+
+    def _apply(self, record: tuple, in_wal: bool, extent: _Extent) -> None:
+        if record[0] == "put":
+            _tag, object_id, version = record
+            self.versions[object_id] = version
+            self._frames[object_id] = (in_wal, extent)
+        else:
+            _tag, epoch_no, cfg_no, plan = record
+            self._epoch_no = int(epoch_no)
+            self._cfg_no = int(cfg_no)
+            self._plan = plan
 
     def recovered_state(self) -> Tuple[int, int, Optional[QuorumPlan]]:
         """Epoch/cfg/plan as of the last durable record (ZERO if fresh)."""
@@ -204,7 +260,7 @@ class WalBackend:
 
     def put(self, object_id: ObjectId, version: Version) -> None:
         self.versions[object_id] = version
-        self._append(("put", object_id, version))
+        self._append(("put", object_id, version), object_id)
 
     def set_epoch(
         self, epoch_no: int, cfg_no: int, plan: Optional[QuorumPlan] = None
@@ -214,15 +270,21 @@ class WalBackend:
         self._plan = plan
         self._append(("epoch", epoch_no, cfg_no, plan))
 
-    def _append(self, record: tuple) -> None:
+    def _append(
+        self, record: tuple, object_id: Optional[ObjectId] = None
+    ) -> None:
         if self._closed:
             return
-        self._wal.write(_frame(encode_value(record)))
+        frame = _frame(encode_value(record))
+        self._wal.write(frame)
+        if object_id is not None:
+            self._frames[object_id] = (True, (self._wal_bytes, len(frame)))
+        self._wal_bytes += len(frame)
         self.records_appended += 1
         self._pending += 1
         if self._pending >= self.fsync_batch:
             self.flush()
-        if self._wal.tell() >= self.snapshot_bytes:
+        if self._wal_bytes >= self.snapshot_bytes:
             self.snapshot()
 
     def flush(self) -> None:
@@ -235,33 +297,58 @@ class WalBackend:
         self._pending = 0
 
     def snapshot(self) -> None:
-        """Dump the full version table atomically, then truncate the WAL.
+        """Compact into a fresh ``snapshot.bin``, then truncate the WAL.
 
-        Ordering matters: the snapshot must be durable (fsynced and
-        atomically in place) *before* the WAL records it subsumes are
-        discarded, or a crash between the two loses acknowledged writes.
+        Writes one ``epoch`` record and copies every object's latest
+        ``put`` frame verbatim.  Ordering matters: the snapshot must be
+        durable — fsynced, atomically in place, and its directory entry
+        fsynced — *before* the WAL records it subsumes are discarded, or
+        a crash between the two loses acknowledged writes.
         """
         if self._closed:
             return
-        body = encode_value(
-            (
-                "snapshot",
-                self._epoch_no,
-                self._cfg_no,
-                self._plan,
-                dict(self.versions),
-            )
-        )
-        tmp_path = self.snapshot_path + ".tmp"
-        with open(tmp_path, "wb") as handle:
-            handle.write(_frame(body))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, self.snapshot_path)
-        self._wal.truncate(0)
-        self._wal.seek(0)
         self._wal.flush()
+        # Indexed by an entry's ``in_wal`` flag.
+        readers = (self._snapshot_reader, self._wal_reader)
+        frames: Dict[ObjectId, Tuple[bool, _Extent]] = {}
+        tmp_path = self.snapshot_path + ".tmp"
+        with open(tmp_path, "wb") as out:
+            offset = out.write(
+                _frame(
+                    encode_value(
+                        ("epoch", self._epoch_no, self._cfg_no, self._plan)
+                    )
+                )
+            )
+            for object_id, (in_wal, (start, length)) in self._frames.items():
+                reader = readers[in_wal]
+                # Only a replayed or written snapshot has in_wal=False
+                # entries, and either leaves its reader open.
+                assert reader is not None
+                frame = os.pread(reader.fileno(), length, start)
+                if len(frame) != length:
+                    raise OSError(
+                        f"short read copying {object_id!r}: "
+                        f"{len(frame)} of {length} bytes"
+                    )
+                out.write(frame)
+                frames[object_id] = (False, (offset, length))
+                offset += length
+            out.flush()
+            os.fsync(out.fileno())
+        os.replace(tmp_path, self.snapshot_path)
+        directory = os.open(self.directory, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
+        os.ftruncate(self._wal.fileno(), 0)
         os.fsync(self._wal.fileno())
+        if self._snapshot_reader is not None:
+            self._snapshot_reader.close()
+        self._snapshot_reader = open(self.snapshot_path, "rb", buffering=0)
+        self._frames = frames
+        self._wal_bytes = 0
         self._pending = 0
         self.snapshots_taken += 1
 
@@ -271,15 +358,17 @@ class WalBackend:
         self.flush()
         self._closed = True
         self._wal.close()
+        self._wal_reader.close()
+        if self._snapshot_reader is not None:
+            self._snapshot_reader.close()
 
     # -- introspection (tests, metrics) --------------------------------------
 
     def wal_records(self) -> Iterator[tuple]:
         """Decode every intact record currently in the WAL file."""
         self._wal.flush()
-        with open(self.wal_path, "rb") as handle:
-            records, _valid = _read_records(handle.read())
-        return iter(records)
+        data = _read_file(self.wal_path) or b""
+        return iter([record for _extent, record in _read_records(data)[0]])
 
 
 #: What the storage node accepts as a backend.  A closed union rather
