@@ -15,6 +15,7 @@ import json
 import os
 import subprocess
 import sys
+from typing import Any
 
 import pytest
 
@@ -61,13 +62,61 @@ print(json.dumps({
 """
 
 
-def _run_child(hash_seed: str) -> dict:
+#: Warms the codec's NodeId caches (decode interning and encoded bytes)
+#: in the order given by ``sys.argv[1]``, then encodes fixed envelopes
+#: whose endpoints are fresh, decoded (interned) and reused NodeIds.
+_WARM_CACHES_SCRIPT = """
+import json, sys
+from repro.common.types import NodeId, Version, VersionStamp
+from repro.net.codec import decode_frame_body, encode_frame
+from repro.sds.messages import ClientRead, ReplicaReadReply
+from repro.sim.network import Envelope
+
+nodes = [NodeId.proxy(i) for i in range(3)] + [
+    NodeId.storage(i) for i in range(5)
+] + [NodeId.client(i) for i in range(200, 203)]
+if sys.argv[1] == "reverse":
+    nodes.reverse()
+for sender in nodes:
+    for recipient in nodes:
+        frame = encode_frame(Envelope(sender, recipient, ClientRead("w", 1)))
+        decode_frame_body(frame[4:])
+
+
+def envelopes(pick):
+    version = Version(b"v" * 64, VersionStamp(2.5, "proxy-1"), 3, 64)
+    for index in range(5):
+        replica = pick(NodeId.storage(index))
+        yield Envelope(
+            replica,
+            pick(NodeId.proxy(1)),
+            ReplicaReadReply("obj-7", version, 900 + index, replica),
+            size=4096,
+            sent_at=1.5,
+        )
+
+
+def decoded(node):
+    frame = encode_frame(Envelope(node, node, None))
+    return decode_frame_body(frame[4:]).sender
+
+
+frames = [encode_frame(e) for e in envelopes(lambda node: node)]
+frames += [encode_frame(e) for e in envelopes(decoded)]
+frames += [encode_frame(decode_frame_body(f[4:])) for f in frames[:5]]
+print(json.dumps([frame.hex() for frame in frames]))
+"""
+
+
+def _run_child(
+    hash_seed: str, script: str = _CHILD_SCRIPT, *args: str
+) -> Any:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hash_seed
     src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
     env["PYTHONPATH"] = os.path.abspath(src)
     result = subprocess.run(
-        [sys.executable, "-c", _CHILD_SCRIPT],
+        [sys.executable, "-c", script, *args],
         env=env,
         capture_output=True,
         text=True,
@@ -83,3 +132,15 @@ def test_encodings_identical_across_hash_seeds() -> None:
     assert all(baseline.values())
     for other_seed in ("1", "12345"):
         assert _run_child(other_seed) == baseline
+
+
+@pytest.mark.slow
+def test_encodings_identical_across_warm_caches() -> None:
+    """The NodeId caches fill in whatever order traffic arrives; which
+    entries exist, and in what hash order, must never reach the bytes."""
+    forward = _run_child("0", _WARM_CACHES_SCRIPT, "forward")
+    backward = _run_child("4242", _WARM_CACHES_SCRIPT, "reverse")
+    assert len(forward) == 15
+    assert forward == backward
+    assert len(set(forward[:5])) == 5
+    assert forward[:5] == forward[5:10] == forward[10:]

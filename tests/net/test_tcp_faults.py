@@ -14,9 +14,11 @@ import random
 
 import pytest
 
-from repro.common.types import NodeId
+from repro.common.types import NodeId, QuorumConfig
+from repro.net.codec import encode_frame
 from repro.net.kernel import RealtimeKernel
 from repro.net.tcp import TcpTransport
+from repro.sim.network import Envelope
 
 pytestmark = pytest.mark.slow
 
@@ -184,5 +186,66 @@ def test_reset_with_no_live_connection_is_harmless() -> None:
         transport.drop_connections()  # nothing to sever: no-op
         assert transport.connection_resets == 1
         await transport.stop()
+
+    asyncio.run(scenario())
+
+
+def _frame(payload: object) -> bytes:
+    return encode_frame(Envelope(CLIENT, SERVER, payload, size=16))
+
+
+def _spliced(payload: object, old: str, new: str) -> bytes:
+    """``payload``'s frame with one run of bytes replaced in place."""
+    frame = _frame(payload)
+    assert frame.count(bytes.fromhex(old)) == 1
+    return frame.replace(bytes.fromhex(old), bytes.fromhex(new))
+
+
+#: Frames that decode to garbage the value constructors refuse; each
+#: used to escape the decoder as a non-``CodecError`` exception.
+BAD_FRAMES = {
+    # "é" (c3 a9) becomes ff fe: invalid UTF-8.
+    "invalid-utf8": _spliced("ok-\u00e9", "c3a9", "fffe"),
+    # QuorumConfig(read=1) becomes read=0, which its __post_init__ refuses.
+    "quorum-read-0": _spliced(
+        QuorumConfig(read=1, write=2), "0a0103020304", "0a0103000304"
+    ),
+    # frozenset({7}) becomes frozenset({{}}): an unhashable element.
+    "unhashable-element": _spliced(frozenset({7}), "0801030e", "08010900"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_FRAMES))
+def test_malformed_frame_is_counted_and_skipped(bad: str) -> None:
+    """A frame the codec refuses costs one ``decode_errors``: the good
+    frames buffered around it are delivered and the stream stays up."""
+
+    async def scenario() -> None:
+        kernel = RealtimeKernel()
+        server = TcpTransport(
+            kernel, {}, listen_port=0, rng=random.Random(7)
+        )
+        await server.start()
+        server_box = server.register(SERVER)
+        host, port = server.listen_address
+        _reader, writer = await asyncio.open_connection(host, port)
+        received: list = []
+        try:
+            writer.write(
+                _frame("good-1") + BAD_FRAMES[bad] + _frame("good-2")
+            )
+            await writer.drain()
+            await _drain(kernel, server_box, received, 2)
+            assert received == ["good-1", "good-2"]
+            assert server.decode_errors == 1
+            # Same connection, later frame: the stream was not dropped.
+            writer.write(_frame("good-3"))
+            await writer.drain()
+            await _drain(kernel, server_box, received, 1)
+            assert received[-1] == "good-3"
+            assert server.frames_received == 4
+        finally:
+            writer.close()
+            await server.stop()
 
     asyncio.run(scenario())

@@ -160,6 +160,25 @@ class TestTornTail:
             frame(("put", "a", version(1.0)))
         ]
 
+    def test_undecodable_record_ends_replay_like_a_crc_failure(
+        self, tmp_path
+    ) -> None:
+        first = WalBackend(str(tmp_path))
+        first.put("a", version(1.0))
+        first.close()
+        # CRC-valid, but the object id is invalid UTF-8 ("é" -> ff fe).
+        body = encode_value(("put", "\u00e9", version(2.0)))
+        body = body.replace("\u00e9".encode(), b"\xff\xfe")
+        with open(first.wal_path, "ab") as handle:
+            handle.write(len(body).to_bytes(4, "big"))
+            handle.write(zlib.crc32(body).to_bytes(4, "big"))
+            handle.write(body)
+        second = WalBackend(str(tmp_path))
+        assert second.records_replayed == 1
+        assert second.records_truncated == 1
+        assert set(second.versions) == {"a"}
+        second.close()
+
 
 class TestSnapshot:
     def test_snapshot_truncates_wal_and_survives_restart(

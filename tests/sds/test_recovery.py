@@ -62,20 +62,35 @@ class Probe(Node):
         )
 
 
-def recovered_backend(tmp_path, epoch=0, cfg=0, puts=()):
+@pytest.fixture
+def wal(tmp_path):
+    """Opens WalBackends on one directory; closes every one at teardown."""
+    opened = []
+
+    def open_backend():
+        backend = WalBackend(str(tmp_path))
+        opened.append(backend)
+        return backend
+
+    yield open_backend
+    for backend in opened:
+        backend.close()
+
+
+def recovered_backend(wal, epoch=0, cfg=0, puts=()):
     """A WalBackend that has prior on-disk state (recovered=True)."""
-    seed = WalBackend(str(tmp_path))
+    seed = wal()
     for object_id, held in puts:
         seed.put(object_id, held)
     seed.set_epoch(epoch, cfg, PLAN)
     seed.close()
-    return WalBackend(str(tmp_path))
+    return wal()
 
 
-def make_node(sim, network, tmp_path, **kwargs):
+def make_node(sim, network, wal, **kwargs):
     backend = kwargs.pop("backend", None)
     if backend is None:
-        backend = recovered_backend(tmp_path)
+        backend = recovered_backend(wal)
     node = StorageNode(
         sim,
         network,
@@ -113,28 +128,28 @@ def sync_reply(replica, epoch=0, cfg=0, versions=None):
 
 class TestQuarantineEntry:
     def test_fresh_backend_boots_unquarantined(
-        self, sim, network, tmp_path
+        self, sim, network, wal
     ) -> None:
         node = make_node(
-            sim, network, tmp_path, backend=WalBackend(str(tmp_path))
+            sim, network, wal, backend=wal()
         )
         assert node.quarantined is False
 
     def test_recovered_backend_boots_quarantined_at_saved_epoch(
-        self, sim, network, tmp_path
+        self, sim, network, wal
     ) -> None:
         backend = recovered_backend(
-            tmp_path, epoch=4, cfg=6, puts=[("obj", version(1.0))]
+            wal, epoch=4, cfg=6, puts=[("obj", version(1.0))]
         )
-        node = make_node(sim, network, tmp_path, backend=backend)
+        node = make_node(sim, network, wal, backend=backend)
         assert node.quarantined is True
         assert (node.epoch_no, node.cfg_no) == (4, 6)
         assert node.version_of("obj").stamp.timestamp == 1.0
 
     def test_quarantined_replica_declines_reads_but_acks_writes(
-        self, sim, network, tmp_path, probes
+        self, sim, network, wal, probes
     ) -> None:
-        node = make_node(sim, network, tmp_path)
+        node = make_node(sim, network, wal)
         probes[PROXY].send(
             SELF, ReplicaRead(object_id="obj", epoch_no=0, op_id=1)
         )
@@ -160,9 +175,9 @@ class TestQuarantineEntry:
 
 class TestCatchUp:
     def test_retransmits_until_peers_answer(
-        self, sim, network, tmp_path, probes
+        self, sim, network, wal, probes
     ) -> None:
-        make_node(sim, network, tmp_path)
+        make_node(sim, network, wal)
         sim.run(until=1.0)
         # Several retry intervals elapsed with no replies: every peer has
         # been asked more than once.
@@ -170,9 +185,9 @@ class TestCatchUp:
             assert len(probes[peer].sync_requests) >= 2
 
     def test_exits_after_read_quorum_of_caught_up_replies(
-        self, sim, network, tmp_path, probes
+        self, sim, network, wal, probes
     ) -> None:
-        node = make_node(sim, network, tmp_path)
+        node = make_node(sim, network, wal)
         probes[PEERS[0]].send(SELF, sync_reply(PEERS[0]))
         sim.run(until=0.1)
         assert node.quarantined is True  # one reply < recovery_quorum=2
@@ -188,12 +203,12 @@ class TestCatchUp:
         assert [reply.op_id for reply in probes[PROXY].read_replies] == [9]
 
     def test_merges_newer_versions_from_replies(
-        self, sim, network, tmp_path, probes
+        self, sim, network, wal, probes
     ) -> None:
         backend = recovered_backend(
-            tmp_path, puts=[("a", version(5.0, b"mine"))]
+            wal, puts=[("a", version(5.0, b"mine"))]
         )
-        node = make_node(sim, network, tmp_path, backend=backend)
+        node = make_node(sim, network, wal, backend=backend)
         probes[PEERS[0]].send(
             SELF,
             sync_reply(
@@ -210,9 +225,9 @@ class TestCatchUp:
         assert node.sync_versions_applied == 1
 
     def test_newer_epoch_in_reply_is_adopted_and_resets_progress(
-        self, sim, network, tmp_path, probes
+        self, sim, network, wal, probes
     ) -> None:
-        node = make_node(sim, network, tmp_path)
+        node = make_node(sim, network, wal)
         probes[PEERS[0]].send(SELF, sync_reply(PEERS[0], epoch=0))
         probes[PEERS[1]].send(SELF, sync_reply(PEERS[1], epoch=3, cfg=5))
         sim.run(until=0.1)
@@ -225,10 +240,10 @@ class TestCatchUp:
         assert node.quarantined is False
 
     def test_exit_state_is_durable(
-        self, sim, network, tmp_path, probes
+        self, sim, network, wal, probes
     ) -> None:
-        backend = recovered_backend(tmp_path)
-        node = make_node(sim, network, tmp_path, backend=backend)
+        backend = recovered_backend(wal)
+        node = make_node(sim, network, wal, backend=backend)
         probes[PEERS[0]].send(
             SELF, sync_reply(PEERS[0], versions={"x": version(2.0, b"peer")})
         )
@@ -237,16 +252,16 @@ class TestCatchUp:
         assert node.quarantined is False
         backend.close()
         # A second crash right after rejoin: the merged state replays.
-        again = WalBackend(str(tmp_path))
+        again = wal()
         assert again.versions["x"].value == b"peer"
 
 
 class TestSyncService:
     def test_live_replica_answers_with_full_state(
-        self, sim, network, tmp_path, probes
+        self, sim, network, wal, probes
     ) -> None:
         node = make_node(
-            sim, network, tmp_path, backend=WalBackend(str(tmp_path))
+            sim, network, wal, backend=wal()
         )
         assert node.quarantined is False
         probes[PROXY].send(
@@ -272,9 +287,9 @@ class TestSyncService:
         assert node.sync_requests_served == 1
 
     def test_recovering_replica_stays_silent_on_sync_requests(
-        self, sim, network, tmp_path, probes
+        self, sim, network, wal, probes
     ) -> None:
-        node = make_node(sim, network, tmp_path)
+        node = make_node(sim, network, wal)
         assert node.quarantined is True
         probes[PEERS[0]].send(
             SELF, SyncRequest(replica=PEERS[0], epoch_no=0)
