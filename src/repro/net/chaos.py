@@ -147,31 +147,32 @@ def count_lost_acked_writes(
 ) -> Tuple[int, List[str]]:
     """The direct durability check: did any acknowledged write vanish?
 
-    For each object, the *last acknowledged* write is the completed
-    write record with the greatest ``completed_at``.  Every read-back
-    read was invoked after all write phases drained, so it must return
-    that value — or a *maybe-applied* one: a write that timed out at the
-    client (``completed_at = inf``) may legitimately land at any later
-    point, including after the last acknowledged write.  What it must
-    never return is an OLDER acknowledged value or the register's
+    Every read-back read was invoked after all write phases drained, so
+    it must return the value of an acknowledged write that can still be
+    the object's last one: a write no other acknowledged write of that
+    object began after.  Overlapping writes linearize in either order,
+    so the write with the latest acknowledgement need not be the last.
+    A *maybe-applied* value is legal too: a write that timed out at the
+    client (``completed_at = inf``) may land at any later point.  What a
+    read must never return is a superseded acknowledged value (its write
+    completed before another acknowledged write was invoked) or the
     initial value: both mean an acknowledged write was dropped.
     """
     acked_at: Dict[ObjectId, Dict[bytes, float]] = {}
     maybe_applied: Dict[ObjectId, set] = {}
-    last: Dict[ObjectId, Tuple[float, bytes]] = {}
+    #: Latest invocation of an acknowledged write, per object.
+    last_invoked: Dict[ObjectId, float] = {}
     for op_record in history:
         if op_record.op_type is not OpType.WRITE:
             continue
+        object_id = op_record.object_id
         value = op_record.value or b""
         if math.isinf(op_record.completed_at):
-            maybe_applied.setdefault(op_record.object_id, set()).add(value)
+            maybe_applied.setdefault(object_id, set()).add(value)
             continue
-        acked_at.setdefault(op_record.object_id, {})[value] = (
-            op_record.completed_at
-        )
-        previous = last.get(op_record.object_id)
-        if previous is None or op_record.completed_at > previous[0]:
-            last[op_record.object_id] = (op_record.completed_at, value)
+        acked_at.setdefault(object_id, {})[value] = op_record.completed_at
+        if op_record.invoked_at > last_invoked.get(object_id, -math.inf):
+            last_invoked[object_id] = op_record.invoked_at
 
     lost = 0
     details: List[str] = []
@@ -180,20 +181,20 @@ def count_lost_acked_writes(
             continue
         if math.isinf(op_record.completed_at):
             continue
-        expected = last.get(op_record.object_id)
-        if expected is None:
+        superseded_at = last_invoked.get(op_record.object_id)
+        if superseded_at is None:
             continue  # object never had an acknowledged write
         observed = op_record.value or b""
-        if observed == expected[1]:
-            continue
         if observed in maybe_applied.get(op_record.object_id, ()):
             continue  # a timed-out write landed late: legal
-        when = acked_at.get(op_record.object_id, {}).get(observed)
+        when = acked_at[op_record.object_id].get(observed)
+        if when is not None and when >= superseded_at:
+            continue  # overlaps the last-invoked write: may be last
         lost += 1
         age = "initial/unknown" if when is None else f"acked at {when:.3f}"
         details.append(
-            f"{op_record.object_id}: read returned {age} value instead of "
-            f"last acknowledged write (acked at {expected[0]:.3f})"
+            f"{op_record.object_id}: read returned {age} value, superseded "
+            f"by an acknowledged write invoked at {superseded_at:.3f}"
         )
     return lost, details
 

@@ -15,9 +15,10 @@ The subsystem has three legs (see ``docs/OBSERVABILITY.md``):
   the whole simulator).
 
 :class:`Observability` bundles one tracer and one registry with the
-pre-bound hot-path instruments the instrumented modules use.  Every
-instrumentation hook is behind an ``if obs is not None`` guard and the
-default is ``None``, so the uninstrumented fast path stays
+pre-bound hot-path instruments the instrumented modules use.  The
+default is ``None``: every metrics hook is behind an
+``if obs is not None`` guard, and span sites run unconditionally on the
+shared disabled tracer, so the uninstrumented fast path stays
 allocation-free.
 """
 

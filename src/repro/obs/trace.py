@@ -16,7 +16,9 @@ All timestamps come from the simulator clock, never the wall clock, and
 trace/span ids are sequential counters: a fixed seed reproduces the
 exact same trace, byte for byte after export.  A disabled tracer hands
 out the shared :data:`NULL_SPAN` whose methods are no-ops, keeping
-instrumented hot paths allocation-free when tracing is off.
+instrumented hot paths allocation-free when tracing is off; nodes built
+without observability hold the shared :data:`DISABLED_TRACER`, so a
+span is never ``None``.
 """
 
 from __future__ import annotations
@@ -233,6 +235,11 @@ class Tracer:
             if candidate.trace_id == span.trace_id
             and candidate.parent_id == span.span_id
         ]
+
+
+#: The tracer a node built without observability holds: one shared,
+#: disabled instance, so span sites never branch on ``obs``.
+DISABLED_TRACER = Tracer(enabled=False)
 
 
 @dataclass

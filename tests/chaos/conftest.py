@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import replace
+from typing import Optional
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.common.config import (
     StorageConfig,
 )
 from repro.common.types import QuorumConfig
+from repro.obs.context import Observability
 from repro.sds.cluster import SwiftCluster
 from repro.sds.consistency import HistoryChecker
 from repro.sim.nemesis import Nemesis
@@ -85,6 +87,7 @@ def build_chaos_stack(
     with_qopt: bool = True,
     write_ratio: float = 0.5,
     lease_duration: float = 0.0,
+    obs: Optional[Observability] = None,
 ):
     """A wired cluster + checker + nemesis, ready for a schedule.
 
@@ -94,6 +97,7 @@ def build_chaos_stack(
     cluster = SwiftCluster(
         chaos_cluster_config(write, lease_duration=lease_duration),
         seed=seed,
+        obs=obs,
     )
     system = (
         attach_qopt(cluster, autonomic_config=CHAOS_AM) if with_qopt else None

@@ -10,18 +10,31 @@ five sites), on a schedule that takes every timeout branch: attempt
 timeouts, gather deadlines, lease-read fallbacks and NEWEP retransmits.
 A drift in any of them means cancellation leaked into event order.
 
-Wall time: ~1.5 s.
+The traced case pins the span tree of the same schedule with tracing
+on: span count plus the sha256 of the deterministic trace export,
+recorded on the commit before the data-plane lifecycle fold (one
+client-operation handler, one gather step, spans never ``None``).  A
+drift means a refactor moved, dropped or re-parented a span.
+
+Wall time: ~1.5 s untraced, ~2 s traced.
 """
 
 from __future__ import annotations
 
 import hashlib
 
+from repro.obs.context import Observability
+from repro.obs.exporters import to_trace_json
 from tests.chaos.conftest import build_chaos_stack
 
 EVENTS_PROCESSED = 95147
 HISTORY_RECORDS = 3326
 SIGNATURE = "d5b2741d74bc115f69cd4955e0d5c94ffb37f7d241edabc106ac3852a1f7bc0b"
+
+TRACED_SPANS = 15691
+TRACE_SIGNATURE = (
+    "8754a7cb1cb0bdceca9092f6cd9e2c4d5918086fc7afb66bfebab0c65b2c8891"
+)
 
 
 def run_pin(cluster, records) -> tuple[int, int, str]:
@@ -43,13 +56,19 @@ def run_pin(cluster, records) -> tuple[int, int, str]:
     return cluster.sim.events_processed, len(records), digest.hexdigest()
 
 
-def test_seeded_run_is_byte_identical_to_pre_cancellation_parent() -> None:
+def run_isolation_schedule(obs: Observability | None = None):
+    """Seed 142, 1.5 s leases, two replicas isolated over [1, 2] s."""
     cluster, system, checker, nemesis = build_chaos_stack(
-        142, write_ratio=0.2, lease_duration=1.5
+        142, write_ratio=0.2, lease_duration=1.5, obs=obs
     )
     storage = [node.node_id for node in cluster.storage_nodes]
     nemesis.schedule_isolation(1.0, 2.0, storage[:2])
     cluster.run(5.0)
+    return cluster, system, checker
+
+
+def test_seeded_run_is_byte_identical_to_pre_cancellation_parent() -> None:
+    cluster, system, checker = run_isolation_schedule()
 
     # The schedule really did walk the timeout branches.
     assert sum(c.attempt_timeouts for c in cluster.clients) == 2
@@ -62,3 +81,13 @@ def test_seeded_run_is_byte_identical_to_pre_cancellation_parent() -> None:
         HISTORY_RECORDS,
         SIGNATURE,
     )
+
+
+def test_traced_run_span_tree_is_pinned() -> None:
+    obs = Observability(tracing=True)
+    run_isolation_schedule(obs)
+    trace = to_trace_json(obs.tracer).encode()
+    assert (
+        len(obs.tracer.spans),
+        hashlib.sha256(trace).hexdigest(),
+    ) == (TRACED_SPANS, TRACE_SIGNATURE)

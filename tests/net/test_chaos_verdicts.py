@@ -112,6 +112,19 @@ class TestLostAckedWrites:
         )
         assert lost == 2
 
+    def test_overlapping_acked_writes_either_may_be_last(self) -> None:
+        # W2 runs inside W1's interval, so W1 may linearize before it:
+        # reading W2 back is legal although W1 was acknowledged later.
+        history = [
+            write("o", b"w1", 5.0, invoked_at=0.0),
+            write("o", b"w2", 3.0, invoked_at=1.0),
+        ]
+        for value in (b"w1", b"w2"):
+            lost, details = count_lost_acked_writes(
+                history, [read("o", value)]
+            )
+            assert (lost, details) == (0, [])
+
 
 class TestMetricValue:
     SCRAPE = (
