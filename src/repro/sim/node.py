@@ -33,6 +33,8 @@ class Node:
         self.sim = sim
         self.network = network
         self.node_id = node_id
+        # Formatted once: span sites and write stamps name the node.
+        self._name = str(node_id)
         self.mailbox = network.register(node_id)
         # Handler table: payload type -> (handler, child process name).
         # Both are resolved once at registration so the per-message
