@@ -21,19 +21,23 @@ is built to absorb.
 
 Hot-path notes (see ``docs/PERFORMANCE.md``):
 
-* **Write coalescing** — all frames queued to the same peer while the
-  pump was busy (typically: everything produced within one event-loop
-  tick) are joined into a single ``write()`` + ``drain()``, bounded by
-  ``flush_bytes`` per batch so one huge burst cannot monopolise the
-  loop or the join buffer.  ``drain()`` after every batch is the write
-  backpressure: a slow peer suspends the pump, frames accumulate in the
-  bounded deque (shed-oldest), memory stays flat.
-* **At-most-once is unchanged** — a batch popped from the queue when the
-  connection breaks is lost *as a unit*; nothing is ever re-queued.
-* **Bulk reads** — the inbound side reads large chunks and parses every
-  complete frame in the accumulated buffer per wakeup, handing the codec
-  zero-copy ``memoryview`` bodies instead of one ``readexactly`` pair
-  per frame.
+* **Protocol callbacks** — every connection is one
+  :class:`asyncio.Protocol`.  The event loop hands received bytes
+  straight to ``data_received`` and reports write backpressure through
+  ``pause_writing``/``resume_writing``, so a connection needs no task
+  of its own.
+* **Write coalescing** — frames queued to one peer are held in an
+  :class:`_Outbox`, which schedules at most one flush per event-loop
+  tick.  The flush joins the queued frames into ``write()`` calls of at
+  most ``flush_bytes`` each, so one huge burst cannot monopolise the
+  loop or the join buffer.  It stops when the transport pauses writing
+  and resumes when the transport drains: a slow peer leaves frames in
+  the bounded deque (shed-oldest), so memory stays flat.
+* **At-most-once** — frames handed to the socket transport
+  are lost with the connection; nothing is ever re-queued.
+* **Parse on arrival** — every complete frame in a received chunk is
+  decoded and delivered at once, with zero-copy ``memoryview`` bodies;
+  only a trailing partial frame is copied aside until the rest arrives.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import asyncio
 import logging
 import random
 from collections import deque
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple, cast
 
 from repro.common.errors import SimulationError
 from repro.common.types import NodeId
@@ -62,79 +66,220 @@ logger = logging.getLogger(__name__)
 Address = Tuple[str, int]
 
 
-async def _pump_frames(
-    transport: "TcpTransport",
-    frames: "deque[bytes]",
-    wakeup: asyncio.Event,
-    writer: asyncio.StreamWriter,
-    closed: "Callable[[], bool]",
-) -> None:
-    """Coalescing write pump shared by peer links and learned routes.
+class _Outbox:
+    """Bounded, coalescing frame queue of one peer link or learned route.
 
-    Pops every queued frame up to ``flush_bytes`` per batch, writes the
-    batch as one buffer, then awaits ``drain()`` (the backpressure
-    point).  Connection errors propagate to the caller; frames already
-    popped are lost — at-most-once, see the module docstring.
+    Frames wait here until the attached connection can take them.  A
+    peer link's outbox outlives its connections, so frames never written
+    ride the next one; a learned route's outbox dies with its inbound
+    connection.
     """
-    bound = transport.flush_bytes
-    while not closed():
-        if not frames:
-            wakeup.clear()
-            if frames:
+
+    __slots__ = ("_owner", "frames", "conn", "_scheduled")
+
+    def __init__(self, owner: "TcpTransport") -> None:
+        self._owner = owner
+        self.frames: deque[bytes] = deque()
+        self.conn: Optional[_Connection] = None
+        self._scheduled = False
+
+    def enqueue(self, frame: bytes) -> None:
+        frames = self.frames
+        if len(frames) >= self._owner.max_queued_frames:
+            # Bounded sender-side buffering: shed the oldest frame (it is
+            # the one whose deadline is nearest to expiry anyway).
+            frames.popleft()
+            self._owner.messages_dropped += 1
+        frames.append(frame)
+        if not self._scheduled:
+            self.schedule()
+
+    def schedule(self) -> None:
+        """Flush on the next loop tick (at most one flush per tick)."""
+        if self.conn is not None and not self._scheduled:
+            self._scheduled = True
+            self._owner._loop.call_soon(self.flush)
+
+    def flush(self) -> None:
+        """Write queued frames in batches of at most ``flush_bytes``
+        until the queue is empty or the transport pauses writing."""
+        self._scheduled = False
+        conn = self.conn
+        if conn is None or conn.transport.is_closing():
+            return
+        owner = self._owner
+        bound = owner.flush_bytes
+        frames = self.frames
+        write = conn.transport.write
+        while frames and not conn.paused:
+            batch = []
+            size = 0
+            while frames and size < bound:
+                frame = frames.popleft()
+                batch.append(frame)
+                size += len(frame)
+            # ``write`` may call ``pause_writing`` before it returns.
+            write(batch[0] if len(batch) == 1 else b"".join(batch))
+            owner.flushes += 1
+            owner.frames_flushed += len(batch)
+
+
+class _Connection(asyncio.Protocol):
+    """One TCP connection: parses and delivers inbound frames as bytes
+    arrive, and writes its outbox under the transport's flow control.
+
+    ``link_outbox`` marks an outbound peer-link connection, which writes
+    the link's long-lived outbox; an inbound connection opens its own
+    outbox the first time a reply rides one of its learned routes.
+    """
+
+    def __init__(
+        self, owner: "TcpTransport", link_outbox: Optional[_Outbox] = None
+    ) -> None:
+        self._owner = owner
+        self._link = link_outbox is not None
+        self.outbox = link_outbox
+        self.transport: asyncio.Transport
+        self.paused = False
+        #: Bytes of a partial frame waiting for the rest of it.
+        self._pending: Optional[bytearray] = None
+        #: Resolved by :meth:`connection_lost`; a peer link awaits it.
+        self.lost: "asyncio.Future[None]" = owner._loop.create_future()
+
+    # -- asyncio.Protocol ----------------------------------------------------
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = cast(asyncio.Transport, transport)
+        owner = self._owner
+        if self._link:
+            outbox = cast(_Outbox, self.outbox)
+            outbox.conn = self
+            outbox.schedule()
+        elif owner._stopped:
+            transport.close()
+        else:
+            owner._inbound.add(self)
+
+    def connection_lost(self, exc: Optional[BaseException]) -> None:
+        owner = self._owner
+        owner._inbound.discard(self)
+        routes = owner._routes
+        for node_id, conn in list(routes.items()):
+            if conn is self:
+                del routes[node_id]
+        outbox = self.outbox
+        if outbox is not None:
+            outbox.conn = None
+            if not self._link:
+                # Broken route: everything still queued is lost; the
+                # client's retry machinery recovers.
+                owner.messages_dropped += len(outbox.frames)
+                outbox.frames.clear()
+        if not self.lost.done():
+            self.lost.set_result(None)
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        if self.outbox is not None:
+            self.outbox.schedule()
+
+    def data_received(self, data: bytes) -> None:
+        # Decode every complete frame now.  Bodies go to the codec as
+        # ``memoryview`` slices (no per-frame copy); the codec
+        # materializes every decoded leaf, so the buffer may be dropped
+        # afterwards.  Only a trailing partial frame is kept, as a fresh
+        # ``bytearray`` (never resized while a view may pin it).
+        owner = self._owner
+        dispatch = owner._kernel._dispatch
+        pending = self._pending
+        buf: Any = data
+        if pending is not None:
+            pending += data
+            buf = pending
+        view = memoryview(buf)
+        buflen = len(buf)
+        offset = 0
+        while buflen - offset >= LENGTH_PREFIX:
+            header_end = offset + LENGTH_PREFIX
+            length = int.from_bytes(buf[offset:header_end], "big")
+            if length > MAX_FRAME:
+                logger.warning(
+                    "dropping connection: %d-byte frame announced", length
+                )
+                self._pending = None
+                self.transport.close()
+                return
+            end = header_end + length
+            if end > buflen:
+                break
+            owner.frames_received += 1
+            try:
+                envelope = decode_frame_body(view[header_end:end])
+            except CodecError:
+                owner.decode_errors += 1
+                logger.warning("undecodable frame", exc_info=True)
+                offset = end
                 continue
-            await wakeup.wait()
-            continue
-        batch = []
-        size = 0
-        while frames and size < bound:
-            frame = frames.popleft()
-            batch.append(frame)
-            size += len(frame)
-        writer.write(batch[0] if len(batch) == 1 else b"".join(batch))
-        transport.flushes += 1
-        transport.frames_flushed += len(batch)
-        await writer.drain()
+            offset = end
+            # Learn/refresh the return route to the sender; replies to
+            # directory-less nodes travel back over this connection.
+            if envelope.sender not in owner.directory:
+                owner._routes[envelope.sender] = self
+            if envelope.recipient not in owner._mailboxes:
+                owner.messages_dropped += 1
+                continue
+            # Deliver now, through the kernel's dispatch (which refreshes
+            # ``now`` and counts the event).  An exception escaping this
+            # callback would make asyncio close the connection, so a
+            # faulty handler is logged and counted instead.
+            try:
+                dispatch(owner._deliver, (envelope,))
+            except Exception:  # noqa: BLE001
+                owner.delivery_errors += 1
+                logger.exception("handler failed on a delivered frame")
+        if offset == buflen:
+            self._pending = None
+        elif offset or pending is None:
+            self._pending = bytearray(view[offset:])
+
+    # -- outbound ------------------------------------------------------------
+
+    def send_route(self, frame: bytes) -> None:
+        """Queue a reply to a node whose route this connection carries."""
+        outbox = self.outbox
+        if outbox is None:
+            outbox = self.outbox = _Outbox(self._owner)
+            outbox.conn = self
+        outbox.enqueue(frame)
 
 
 class _PeerLink:
     """One persistent outbound connection with reconnect + backoff."""
 
-    def __init__(self, transport: "TcpTransport", address: Address) -> None:
-        self._transport = transport
+    def __init__(self, owner: "TcpTransport", address: Address) -> None:
+        self._owner = owner
         self.address = address
-        self._frames: deque[bytes] = deque()
-        self._wakeup = asyncio.Event()
-        self._closed = False
+        self.outbox = _Outbox(owner)
         self.reconnects = 0
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._task = transport._kernel._loop.create_task(self._run())
+        self._conn: Optional[_Connection] = None
+        self._task = owner._loop.create_task(self._run())
 
     def reset(self) -> None:
         """Abruptly drop the live connection (fault injection).
 
-        The batch in flight (if any) is lost as a unit — exactly the
-        at-most-once contract a real RST gives — and the run loop
+        Frames already handed to the socket are lost with it — exactly
+        the at-most-once contract a real RST gives — and the run loop
         reconnects with the usual backoff.  Frames still queued were
         never written and simply ride the next connection.
         """
-        writer = self._writer
-        if writer is not None and not writer.is_closing():
-            writer.close()
-
-    def enqueue(self, frame: bytes) -> None:
-        if self._closed:
-            return
-        if len(self._frames) >= self._transport.max_queued_frames:
-            # Bounded sender-side buffering: shed the oldest frame (it is
-            # the one whose deadline is nearest to expiry anyway).
-            self._frames.popleft()
-            self._transport.messages_dropped += 1
-        self._frames.append(frame)
-        self._wakeup.set()
+        conn = self._conn
+        if conn is not None:
+            conn.transport.close()
 
     async def close(self) -> None:
-        self._closed = True
-        self._wakeup.set()
         self._task.cancel()
         try:
             await self._task
@@ -142,106 +287,29 @@ class _PeerLink:
             pass
 
     async def _run(self) -> None:
-        backoff = self._transport.reconnect_base
+        owner = self._owner
+        backoff = owner.reconnect_base
         host, port = self.address
-        while not self._closed:
+        while True:
+            conn = _Connection(owner, self.outbox)
             try:
-                reader, writer = await asyncio.open_connection(host, port)
+                await owner._loop.create_connection(lambda: conn, host, port)
             except OSError:
-                await asyncio.sleep(
-                    backoff * (1.0 + self._transport._rng.random())
-                )
-                backoff = min(self._transport.reconnect_cap, backoff * 2)
+                await asyncio.sleep(backoff * (1.0 + owner._rng.random()))
+                backoff = min(owner.reconnect_cap, backoff * 2)
                 continue
-            backoff = self._transport.reconnect_base
-            self._writer = writer
-            loop = self._transport._kernel._loop
-            # The peer may address frames back at us over this same
-            # connection (replies to loadgen clients), so always read it.
-            # The reader doubles as the hangup detector: TCP buffering can
-            # accept writes long after the peer died, but the read side
-            # sees the EOF/RST immediately.
-            read_task = loop.create_task(
-                self._transport._read_frames(reader, writer)
-            )
-            pump_task = loop.create_task(self._pump(writer))
+            backoff = owner.reconnect_base
+            self._conn = conn
             try:
-                await asyncio.wait(
-                    {read_task, pump_task},
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
+                # The peer may address frames back at us over this same
+                # connection (replies to loadgen clients), so the
+                # connection reads as well as writes; its read side sees
+                # the peer's EOF/RST even when writes still buffer.
+                await conn.lost
             finally:
-                for task in (read_task, pump_task):
-                    task.cancel()
-                await asyncio.gather(
-                    read_task, pump_task, return_exceptions=True
-                )
-                writer.close()
-                self._writer = None
-            if not self._closed:
-                self.reconnects += 1
-        return None
-
-    async def _pump(self, writer: asyncio.StreamWriter) -> None:
-        await _pump_frames(
-            self._transport,
-            self._frames,
-            self._wakeup,
-            writer,
-            lambda: self._closed,
-        )
-
-
-class _RouteBatcher:
-    """Coalesced, backpressured writes on one learned return route.
-
-    Learned routes have no reconnect machinery (the remote client owns
-    the connection); when the stream breaks, queued frames are dropped
-    and the route is forgotten.
-    """
-
-    def __init__(
-        self, transport: "TcpTransport", writer: asyncio.StreamWriter
-    ) -> None:
-        self._transport = transport
-        self.writer = writer
-        self._frames: deque[bytes] = deque()
-        self._wakeup = asyncio.Event()
-        self._closed = False
-        self._task = transport._kernel._loop.create_task(self._run())
-
-    def enqueue(self, frame: bytes) -> None:
-        if self._closed or self.writer.is_closing():
-            self._transport.messages_dropped += 1
-            return
-        if len(self._frames) >= self._transport.max_queued_frames:
-            self._frames.popleft()
-            self._transport.messages_dropped += 1
-        self._frames.append(frame)
-        self._wakeup.set()
-
-    def close(self) -> None:
-        self._closed = True
-        self._transport.messages_dropped += len(self._frames)
-        self._frames.clear()
-        self._task.cancel()
-
-    async def _run(self) -> None:
-        try:
-            await _pump_frames(
-                self._transport,
-                self._frames,
-                self._wakeup,
-                self.writer,
-                lambda: self._closed,
-            )
-        except (ConnectionError, OSError):
-            # Broken route: everything still queued (and the batch in
-            # flight) is lost; the client's retry machinery recovers.
-            self._transport.messages_dropped += len(self._frames)
-            self._frames.clear()
-        except asyncio.CancelledError:
-            pass
+                self._conn = None
+                conn.transport.close()
+            self.reconnects += 1
 
 
 class TcpTransport:
@@ -257,10 +325,10 @@ class TcpTransport:
         reconnect_cap: float = 2.0,
         max_queued_frames: int = 10_000,
         flush_bytes: int = 256 * 1024,
-        read_chunk: int = 256 * 1024,
         rng: Optional[random.Random] = None,
     ) -> None:
         self._kernel = kernel
+        self._loop = kernel._loop
         #: Static node -> address map (shared, may be filled in later but
         #: before the first send to that node).
         self.directory = dict(directory)
@@ -271,14 +339,11 @@ class TcpTransport:
         self.max_queued_frames = max_queued_frames
         #: Upper bound on bytes joined into one coalesced ``write()``.
         self.flush_bytes = flush_bytes
-        #: Bytes requested per inbound ``read()`` in the bulk parse loop.
-        self.read_chunk = read_chunk
         self._rng = rng if rng is not None else random.Random()
         self._mailboxes: Dict[NodeId, Mailbox] = {}
         self._peers: Dict[Address, _PeerLink] = {}
-        self._routes: Dict[NodeId, asyncio.StreamWriter] = {}
-        self._route_batchers: Dict[asyncio.StreamWriter, _RouteBatcher] = {}
-        self._inbound: set[asyncio.StreamWriter] = set()
+        self._routes: Dict[NodeId, _Connection] = {}
+        self._inbound: set[_Connection] = set()
         self._server: Optional[asyncio.AbstractServer] = None
         self._started = False
         self._stopped = False
@@ -290,6 +355,8 @@ class TcpTransport:
         self.bytes_sent = 0
         self.frames_received = 0
         self.decode_errors = 0
+        #: Inbound deliveries whose handler raised (logged, then skipped).
+        self.delivery_errors = 0
         # Coalescing counters: frames_flushed / flushes is the mean
         # batch size actually achieved on the wire.
         self.flushes = 0
@@ -305,8 +372,10 @@ class TcpTransport:
             return
         self._started = True
         if self._listen_port is not None:
-            self._server = await asyncio.start_server(
-                self._on_connection, self._listen_host, self._listen_port
+            self._server = await self._loop.create_server(
+                lambda: _Connection(self),
+                self._listen_host,
+                self._listen_port,
             )
             sockets = self._server.sockets or []
             if self._listen_port == 0 and sockets:
@@ -322,38 +391,34 @@ class TcpTransport:
     async def stop(self) -> None:
         """Close the server, every peer link and every learned route."""
         self._stopped = True
+        # ``Server.close`` only stops *listening*; accepted connections
+        # must be hung up explicitly or remote peers never notice, and
+        # (from Python 3.12) ``wait_closed`` waits for them to close.
         if self._server is not None:
             self._server.close()
+        for conn in list(self._inbound):
+            conn.transport.close()
+        if self._server is not None:
             await self._server.wait_closed()
         for link in list(self._peers.values()):
             await link.close()
         self._peers.clear()
-        # ``Server.close`` only stops *listening*; accepted connections
-        # must be hung up explicitly or remote peers never notice.
-        for batcher in list(self._route_batchers.values()):
-            batcher.close()
-        self._route_batchers.clear()
-        for writer in list(self._inbound):
-            writer.close()
-        self._inbound.clear()
-        for writer in list(self._routes.values()):
-            writer.close()
         self._routes.clear()
 
     def drop_connections(self) -> None:
         """Sever every live connection without stopping the transport.
 
-        The nemesis's "connection reset" fault: peer links lose their
-        in-flight batch as a unit and reconnect with backoff; inbound
-        connections (and the learned return routes riding them) are hung
-        up, so remote clients re-establish on their next send.  Nothing
-        is duplicated or re-queued — at-most-once is preserved.
+        The nemesis's "connection reset" fault: peer links lose the
+        frames already handed to the socket and reconnect with backoff;
+        inbound connections (and the learned return routes riding them)
+        are hung up, so remote clients re-establish on their next send.
+        Nothing is duplicated or re-queued — at-most-once is preserved.
         """
         self.connection_resets += 1
         for link in self._peers.values():
             link.reset()
-        for writer in list(self._inbound):
-            writer.close()
+        for conn in list(self._inbound):
+            conn.transport.close()
 
     # -- Transport surface ---------------------------------------------------
 
@@ -399,106 +464,17 @@ class TcpTransport:
             if link is None:
                 link = _PeerLink(self, address)
                 self._peers[address] = link
-            link.enqueue(frame)
+            link.outbox.enqueue(frame)
             return
-        writer = self._routes.get(recipient)
-        if writer is not None and not writer.is_closing():
-            batcher = self._route_batchers.get(writer)
-            if batcher is None:
-                batcher = _RouteBatcher(self, writer)
-                self._route_batchers[writer] = batcher
-            batcher.enqueue(frame)
+        conn = self._routes.get(recipient)
+        if conn is not None and not conn.transport.is_closing():
+            conn.send_route(frame)
             return
         # No route: the peer never contacted us and is not in the
         # directory.  Fail-stop semantics — drop.
         self.messages_dropped += 1
 
     # -- inbound path --------------------------------------------------------
-
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._inbound.add(writer)
-        try:
-            await self._read_frames(reader, writer)
-        finally:
-            self._inbound.discard(writer)
-
-    async def _read_frames(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        # Bulk parse loop: read a large chunk, then decode every complete
-        # frame accumulated so far — one wakeup handles a whole coalesced
-        # batch from the peer.  Bodies are handed to the codec as
-        # ``memoryview`` slices (no per-frame copy); the codec
-        # materializes every decoded leaf, so consuming the buffer
-        # afterwards is safe.
-        buf = bytearray()
-        try:
-            while True:
-                chunk = await reader.read(self.read_chunk)
-                if not chunk:
-                    return
-                buf += chunk
-                buflen = len(buf)
-                offset = 0
-                while buflen - offset >= LENGTH_PREFIX:
-                    header_end = offset + LENGTH_PREFIX
-                    length = int.from_bytes(buf[offset:header_end], "big")
-                    if length > MAX_FRAME:
-                        logger.warning(
-                            "dropping connection: %d-byte frame announced",
-                            length,
-                        )
-                        return
-                    end = header_end + length
-                    if end > buflen:
-                        break
-                    self.frames_received += 1
-                    try:
-                        envelope = decode_frame_body(
-                            memoryview(buf)[header_end:end]
-                        )
-                    except CodecError:
-                        self.decode_errors += 1
-                        logger.warning("undecodable frame", exc_info=True)
-                        offset = end
-                        continue
-                    offset = end
-                    # Learn/refresh the return route to the sender;
-                    # replies to directory-less nodes travel back over
-                    # this stream.
-                    if envelope.sender not in self.directory:
-                        self._routes[envelope.sender] = writer
-                    self._dispatch_inbound(envelope)
-                if offset:
-                    try:
-                        del buf[:offset]
-                    except BufferError:
-                        # A decode-error traceback can briefly pin a view
-                        # of ``buf``; slicing reads (always allowed) and
-                        # rebinds instead of resizing in place.
-                        buf = buf[offset:]
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            return
-        except asyncio.CancelledError:
-            # Shutdown path: the server (or owning peer link) is closing;
-            # ending the loop quietly is the cancellation's whole intent.
-            return
-        finally:
-            batcher = self._route_batchers.pop(writer, None)
-            if batcher is not None:
-                batcher.close()
-            for node_id, route in list(self._routes.items()):
-                if route is writer:
-                    del self._routes[node_id]
-            writer.close()
-
-    def _dispatch_inbound(self, envelope: Envelope) -> None:
-        if envelope.recipient in self._mailboxes:
-            self._kernel.post(self._deliver, envelope)
-        else:
-            self.messages_dropped += 1
 
     def _deliver(self, envelope: Envelope) -> None:
         mailbox = self._mailboxes.get(envelope.recipient)

@@ -294,13 +294,13 @@ class Simulator:
 
     def sleep(self, delay: float) -> Timer:
         """A cancellable future resolving after ``delay`` simulated seconds."""
-        timer = Timer(self, name=f"sleep({delay})")
+        timer = Timer(self, name="sleep")
         self._arm(timer, delay, None)
         return timer
 
     def timeout(self, delay: float, value: Any = None) -> Timer:
         """Like :meth:`sleep` but resolving with ``value``."""
-        timer = Timer(self, name=f"timeout({delay})")
+        timer = Timer(self, name="timeout")
         self._arm(timer, delay, value)
         return timer
 

@@ -62,6 +62,8 @@ class Mailbox:
     def __init__(self, sim: Simulator, owner: NodeId) -> None:
         self._sim = sim
         self.owner = owner
+        # Formatted once: the name only shows in reprs and errors.
+        self._recv_name = f"{owner}.recv"
         self._messages: deque[Envelope] = deque()
         self._waiters: deque[Future] = deque()
 
@@ -76,7 +78,7 @@ class Mailbox:
 
     def receive(self) -> Future:
         """A future resolving with the next :class:`Envelope`."""
-        future = self._sim.future(name=f"{self.owner}.recv")
+        future = self._sim.future(name=self._recv_name)
         if self._messages:
             future.resolve(self._messages.popleft())
         else:

@@ -232,6 +232,7 @@ class Resource:
         self._busy = 0
         self._queue: deque[tuple[float, Future]] = deque()
         self.name = name or "resource"
+        self._use_name = f"{self.name}.use"
         #: Cumulative busy time integrated over all servers (for utilization).
         self.busy_time = 0.0
         #: Total requests served to completion.
@@ -249,7 +250,7 @@ class Resource:
         """Acquire a server, hold it ``duration`` seconds, then release."""
         if duration < 0:
             raise SimulationError("service duration must be >= 0")
-        done = self._sim.future(name=f"{self.name}.use")
+        done = self._sim.future(name=self._use_name)
         if self._busy < self._concurrency:
             self._start(duration, done)
         else:

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import asyncio
 import random
-from collections import Counter, deque
-from types import SimpleNamespace
+from collections import Counter
 
 import pytest
 
 from repro.common.types import NodeId
 from repro.net.kernel import RealtimeKernel
-from repro.net.tcp import TcpTransport, _pump_frames
+from repro.net.tcp import TcpTransport, _Connection, _Outbox
 
 pytestmark = pytest.mark.slow
 
@@ -151,42 +150,48 @@ def test_slow_reader_applies_backpressure_then_drains() -> None:
     asyncio.run(scenario())
 
 
+class _FakeTransport:
+    """Records writes; never pauses, never fails."""
+
+    def __init__(self) -> None:
+        self.writes: list = []
+
+    def write(self, data: bytes) -> None:
+        self.writes.append(bytes(data))
+
+    def is_closing(self) -> bool:
+        return False
+
+
 def test_broken_connection_drops_coalesced_batch_as_unit() -> None:
     """At-most-once: a batch in flight on a dead link is lost, never
     re-queued — re-sending could let a duplicated replica reply fake a
     quorum."""
 
-    class _DeadWriter:
-        def __init__(self) -> None:
-            self.writes: list = []
-
-        def write(self, data: bytes) -> None:
-            self.writes.append(bytes(data))
-
-        async def drain(self) -> None:
-            raise ConnectionResetError("peer vanished mid-batch")
-
     async def scenario() -> None:
-        frames = deque(
-            bytes([value]) * 8 for value in range(5)
-        )
-        wakeup = asyncio.Event()
-        wakeup.set()
-        transport = SimpleNamespace(
-            flush_bytes=1 << 20, flushes=0, frames_flushed=0
-        )
-        writer = _DeadWriter()
-        with pytest.raises(ConnectionResetError):
-            await _pump_frames(
-                transport, frames, wakeup, writer, lambda: False
-            )
+        kernel = RealtimeKernel()
+        transport = TcpTransport(kernel, {}, rng=random.Random(0))
+        outbox = _Outbox(transport)
+        frames = [bytes([value]) * 8 for value in range(5)]
+        for frame in frames:
+            outbox.enqueue(frame)
+        dead = _FakeTransport()
+        conn = _Connection(transport, outbox)
+        conn.connection_made(dead)
+        await asyncio.sleep(0)  # one loop tick: one flush
         # The whole burst was coalesced into one write...
-        assert len(writer.writes) == 1
-        assert writer.writes[0] == b"".join(
-            bytes([value]) * 8 for value in range(5)
-        )
-        # ...and on failure it is gone as a unit: nothing re-queued.
-        assert not frames
+        assert dead.writes == [b"".join(frames)]
+        assert (transport.flushes, transport.frames_flushed) == (1, 5)
+        conn.connection_lost(ConnectionResetError("peer vanished mid-batch"))
+        # ...and on failure it is gone as a unit: nothing re-queued, so
+        # the next connection of the link writes nothing.
+        assert not outbox.frames
+        fresh = _FakeTransport()
+        _Connection(transport, outbox).connection_made(fresh)
+        await asyncio.sleep(0)
+        assert fresh.writes == []
+        assert transport.messages_dropped == 0
+        await transport.stop()
 
     asyncio.run(scenario())
 
