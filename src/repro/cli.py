@@ -27,7 +27,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    List,
     Optional,
     Sequence,
     Tuple,
@@ -240,29 +239,21 @@ def _finish(
     result: LoadgenResult,
     output: Optional[str] = None,
     extra: Optional[dict] = None,
-    baseline: Optional[str] = None,
 ) -> int:
     """Write, print and gate one run report.
 
-    The exit code mirrors the report's ``ok`` field (plus the baseline
-    gate), so CI cannot pass a run whose JSON says it failed — or whose
-    linearizability check never finished.
+    The exit code mirrors the report's ``ok`` field, so CI cannot pass a
+    run whose JSON says it failed — or whose linearizability check never
+    finished.
     """
-    from repro.net.loadgen import check_baseline, write_report
+    from repro.net.loadgen import write_report
 
     if output:
         write_report(result, output, extra=extra or {})
     print(result.render())
     if output:
         print(f"report written to {output}")
-    failures: List[str] = []
-    if baseline:
-        failures = check_baseline(result, baseline)
-        for failure in failures:
-            print(f"BASELINE REGRESSION: {failure}")
-        if not failures:
-            print(f"baseline gate passed ({baseline})")
-    return 1 if result.problems() or failures else 0
+    return 1 if result.problems() else 0
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
@@ -304,7 +295,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         )
         output = args.output or "BENCH_net.json"
     extra = {key: value for key, value in load.items() if key != "duration"}
-    return _finish(result, output, extra, args.baseline)
+    return _finish(result, output, extra)
 
 
 def _cmd_livesmoke(args: argparse.Namespace) -> int:
@@ -490,13 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report path (default BENCH_obs.json)",
     )
     bench.add_argument(
-        "--baseline", default=None,
-        help=(
-            "baseline BENCH_obs.json to gate kernel events/sec against "
-            "(fails below 70%%)"
-        ),
-    )
-    bench.add_argument(
         "--trace", default=None,
         help=(
             "also export the chaos scenario's Chrome trace_event JSON "
@@ -507,8 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile", default=None, metavar="PATH",
         help=(
             "run under cProfile, write the pstats table to PATH and "
-            "print the top-3 hot functions (adds overhead: do not "
-            "combine with --baseline gating)"
+            "print the top-3 hot functions (adds overhead: the "
+            "report's wall-clock rates are then not comparable)"
         ),
     )
 
@@ -651,13 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "report path (default BENCH_net.json, or "
             "BENCH_net_scaleout.json with --shards)"
-        ),
-    )
-    loadgen.add_argument(
-        "--baseline", default=None,
-        help=(
-            "pinned baseline JSON; fail if any phase drops "
-            "below 70%% of its baseline ops/sec"
         ),
     )
 

@@ -781,48 +781,12 @@ def write_report(result: LoadgenResult, path: str, extra: dict) -> None:
         handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-#: A run must reach this fraction of the baseline's ops/sec per phase
-#: (mirrors the BENCH_obs perf-smoke gate: generous enough for noisy CI
-#: machines, tight enough to catch a real hot-path regression).
-BASELINE_FLOOR = 0.7
-
-
-def check_baseline(
-    result: LoadgenResult, baseline_path: str, floor: float = BASELINE_FLOOR
-) -> List[str]:
-    """Compare per-phase ops/sec against a pinned baseline report.
-
-    Returns human-readable failure strings (empty = gate passed).
-    Phases are matched by name; a phase missing from the baseline is
-    skipped, so adding phases does not require regenerating it.
-    """
-    with open(baseline_path, "r", encoding="utf-8") as handle:
-        baseline = json.load(handle)
-    pinned = {
-        phase["name"]: float(phase["ops_per_sec"])
-        for phase in baseline.get("phases", [])
-    }
-    failures: List[str] = []
-    for phase in result.phases:
-        target = pinned.get(phase.name)
-        if target is None or target <= 0:
-            continue
-        if phase.ops_per_sec < floor * target:
-            failures.append(
-                f"phase {phase.name}: {phase.ops_per_sec:.1f} ops/s is below "
-                f"{floor:.0%} of baseline {target:.1f} ops/s"
-            )
-    return failures
-
-
 __all__ = [
-    "BASELINE_FLOOR",
     "HarnessChecks",
     "LoadGenerator",
     "LoadgenResult",
     "PhaseResult",
     "ShardOutcome",
-    "check_baseline",
     "merged_latency_summary",
     "metric_value",
     "run_bench",

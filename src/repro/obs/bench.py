@@ -13,8 +13,10 @@ Two kinds of numbers come out, and they must not be confused:
   reproduce them exactly, and the harness's invariants assert on them.
 * **Wall-clock** metrics (seconds per scenario, simulator-kernel events
   processed per wall second) measure the implementation itself and vary
-  run to run; CI compares events/sec against a committed baseline to
-  catch performance regressions in the hot paths.
+  run to run; they are reported, never gated.  The kernel event count
+  behind them is exact, and the tier-1 suite pins it per scenario
+  (``tests/obs/test_bench.py``), so a protocol change that moves the
+  work per operation fails there.
 """
 
 from __future__ import annotations
@@ -49,10 +51,6 @@ from repro.workloads import ycsb
 
 #: Schema tag written into every BENCH_obs.json.
 SCHEMA = "qopt-bench/1"
-
-#: CI gate: fail when kernel events/sec drops below this fraction of
-#: the committed baseline (generous, to absorb shared-runner noise).
-BASELINE_FLOOR = 0.7
 
 #: The per-phase histograms surfaced in the report, in output order.
 PHASES: Tuple[Tuple[str, str], ...] = (
@@ -341,25 +339,6 @@ def run_bench(
     return report
 
 
-def check_baseline(report: Dict[str, Any], baseline_path: str) -> str:
-    """Compare kernel events/sec against a committed baseline report."""
-    with open(baseline_path, "r", encoding="utf-8") as handle:
-        baseline = json.load(handle)
-    base_rate = float(baseline["kernel"]["events_per_second"])
-    rate = float(report["kernel"]["events_per_second"])
-    if base_rate > 0 and rate < BASELINE_FLOOR * base_rate:
-        raise BenchInvariantError(
-            f"kernel events/sec regressed: {rate:.0f} < "
-            f"{BASELINE_FLOOR:.0%} of baseline {base_rate:.0f}"
-        )
-    return (
-        f"kernel {rate:.0f} events/s vs baseline {base_rate:.0f} "
-        f"({rate / base_rate:.0%})"
-        if base_rate > 0
-        else f"kernel {rate:.0f} events/s (baseline had no rate)"
-    )
-
-
 def _write_profile(profiler: cProfile.Profile, path: str) -> None:
     """Dump the pstats table to ``path`` and print the top-3 by tottime."""
     stream = io.StringIO()
@@ -412,8 +391,6 @@ def run_command(args: argparse.Namespace) -> int:
         f"{report['kernel']['wall_seconds']}s wall "
         f"({report['kernel']['events_per_second']:.0f}/s)"
     )
-    if args.baseline:
-        print(check_baseline(report, args.baseline))
     print(f"wrote {args.output}")
     if profiler is not None:
         _write_profile(profiler, args.profile)

@@ -106,17 +106,28 @@ def test_slow_reader_applies_backpressure_then_drains() -> None:
         kernel = RealtimeKernel()
         release = asyncio.Event()
         swallowed = bytearray()
+        handlers = []
 
-        async def slow_handler(
+        async def read_until_eof(
             reader: asyncio.StreamReader, writer: asyncio.StreamWriter
         ) -> None:
-            await release.wait()
-            while True:
-                chunk = await reader.read(1 << 16)
-                if not chunk:
-                    break
-                swallowed.extend(chunk)
-            writer.close()
+            try:
+                await release.wait()
+                while True:
+                    chunk = await reader.read(1 << 16)
+                    if not chunk:
+                        break
+                    swallowed.extend(chunk)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+
+        def slow_handler(
+            reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        ) -> None:
+            handlers.append(
+                asyncio.ensure_future(read_until_eof(reader, writer))
+            )
 
         raw_server = await asyncio.start_server(
             slow_handler, "127.0.0.1", 0
@@ -144,6 +155,11 @@ def test_slow_reader_applies_backpressure_then_drains() -> None:
             assert client.frames_flushed == count
         finally:
             await client.stop()
+            # The client's close ends each handler's read loop (the set
+            # frees one still parked if an assertion above failed); await
+            # them so their writers are closed before the server is.
+            release.set()
+            await asyncio.gather(*handlers)
             raw_server.close()
             await raw_server.wait_closed()
 

@@ -16,13 +16,27 @@ import pytest
 
 from repro.net.cluster import allocate_ports
 from repro.net.httpd import http_get
-from repro.net.loadgen import LoadGenerator
+from repro.net.loadgen import LoadGenerator, metric_value
 from repro.net.runtime import NodeRuntime
 from repro.net.spec import build_spec
 from repro.obs.exporters import parse_prometheus_text
 from repro.sds.storage import StorageNode
 
 pytestmark = pytest.mark.slow
+
+#: Proxy work per completed operation on this run's shape (N=5,
+#: W=4 then W=2, workload A, 4 closed-loop clients): kernel callbacks
+#: dispatched and transport messages sent.  Both are counts, not times,
+#: so they repeat to under 1 % from run to run (only the fixed cost of
+#: health probes and the reconfiguration, spread over however many ops
+#: a phase completes, varies); an extra round trip, timer or retry per
+#: operation moves them by far more than the tolerance.  Re-pin only for
+#: an intended change to the per-operation protocol.
+PINNED_PROXY_PER_OP = {
+    ("qopt_kernel_events_total",): 6.06,
+    ("qopt_transport_messages_total", 'direction="sent"'): 4.05,
+}
+PIN_TOLERANCE = 0.02
 
 
 def test_live_cluster_reconfigures_and_stays_linearizable() -> None:
@@ -77,15 +91,23 @@ def test_live_cluster_reconfigures_and_stays_linearizable() -> None:
                 proxy.host, proxy.http_port, "/metrics"
             )
             assert status == 200
+            samples = parse_prometheus_text(body)
             timers = {
                 series.partition("{")[0]: value
-                for series, value in parse_prometheus_text(body).items()
+                for series, value in samples.items()
                 if series.startswith("qopt_kernel_timers_")
             }
             gathers = first.operations + second.operations
             assert timers["qopt_kernel_timers_armed_total"] >= 2 * gathers
             assert timers["qopt_kernel_timers_cancelled_total"] >= 2 * gathers
             assert timers["qopt_kernel_timers_pending"] <= 4
+
+            for series, pinned in PINNED_PROXY_PER_OP.items():
+                per_op = metric_value(samples, *series) / gathers
+                assert abs(per_op / pinned - 1) <= PIN_TOLERANCE, (
+                    f"proxy {series} per op {per_op:.4f} is off the "
+                    f"pinned {pinned} by more than {PIN_TOLERANCE:.0%}"
+                )
         finally:
             await generator.stop()
             for runtime in runtimes:

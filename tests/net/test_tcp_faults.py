@@ -67,8 +67,13 @@ def test_route_reestablishes_after_peer_death_mid_stream() -> None:
                 client.send(CLIENT, SERVER, f"before-{round_no}", size=32)
             await _drain(kernel, server_box, received, 3)
 
-            # Fail-stop the server mid-stream.  Frames sent while it is
-            # down are lost (at-most-once: dropped, never re-queued).
+            # Fail-stop the server mid-stream.  A frame sent while it is
+            # down is lost if it was written to the dying socket, or
+            # rides the reconnect if the link already knew it was down
+            # and kept it queued (which of the two depends on when the
+            # event loop reports the close: from Python 3.12 the server's
+            # ``wait_closed`` lets the client see it first).  Either way
+            # it arrives at most once.
             await server.stop()
             for round_no in range(5):
                 client.send(CLIENT, SERVER, f"during-{round_no}", size=32)
@@ -94,10 +99,12 @@ def test_route_reestablishes_after_peer_death_mid_stream() -> None:
                 for round_no in range(3):
                     client.send(CLIENT, SERVER, f"after-{round_no}", size=32)
                 after: list = []
-                await _drain(kernel, reborn_box, after, 3)
-                assert sorted(after)[-3:] == [
-                    "after-0", "after-1", "after-2"
-                ]
+                while "after-2" not in after:
+                    await _drain(kernel, reborn_box, after, 1)
+                # FIFO per link: downtime frames that rode the reconnect
+                # arrive first, the three sent after it last.
+                assert after[-3:] == ["after-0", "after-1", "after-2"]
+                assert set(after[:-3]) <= {f"during-{n}" for n in range(5)}
                 # Exactly once: no payload delivered twice across the
                 # old and new incarnations.
                 everything = received + after

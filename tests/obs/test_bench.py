@@ -1,4 +1,4 @@
-"""Harness tests: scenario invariants, report shape, determinism, gate."""
+"""Harness tests: scenario invariants, report shape, determinism, pins."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.obs.bench import (
-    BASELINE_FLOOR,
     BenchInvariantError,
     PHASES,
     QUICK_SCENARIOS,
@@ -15,7 +14,6 @@ from repro.obs.bench import (
     _check_invariants,
     _check_phase_ordering,
     _run_scenario,
-    check_baseline,
 )
 
 
@@ -92,28 +90,18 @@ class TestCli:
         assert "BENCH_obs.json" in capsys.readouterr().out
 
 
-class TestBaselineGate:
-    def _report(self, rate: float) -> dict:
-        return {"kernel": {"events_per_second": rate}}
-
-    def test_regression_fails(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(self._report(10000.0)))
-        with pytest.raises(BenchInvariantError):
-            check_baseline(
-                self._report(10000.0 * BASELINE_FLOOR * 0.9),
-                str(baseline),
-            )
-
-    def test_within_floor_passes(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(self._report(10000.0)))
-        message = check_baseline(self._report(9000.0), str(baseline))
-        assert "9000" in message
-
-
 @pytest.mark.slow
 class TestFullQuickMatrix:
+    #: Exact (kernel events, completed ops) per quick scenario at seed 0.
+    #: Both counts are deterministic, so any change to the work one
+    #: operation costs the simulated protocol (an extra message, timer or
+    #: retry) moves them; re-pin only for an intended protocol change.
+    PINNED = {
+        "ycsb-a-r3w3": (70661, 1780),
+        "chaos-partition": (64876, 1551),
+        "reconfig-qopt": (150010, 3598),
+    }
+
     def test_quick_matrix_end_to_end(self, tmp_path):
         from repro.cli import main
 
@@ -127,8 +115,6 @@ class TestFullQuickMatrix:
                 str(output),
                 "--trace",
                 str(trace),
-                "--baseline",
-                "benchmarks/BENCH_obs_baseline.json",
             ]
         )
         assert code == 0
@@ -142,5 +128,10 @@ class TestFullQuickMatrix:
         ):
             assert report["phases"][phase]["count"] > 0
         assert report["kernel"]["events_per_second"] > 0
+        counts = {
+            name: (cell["wall"]["events"], cell["sim"]["completed_ops"])
+            for name, cell in report["scenarios"].items()
+        }
+        assert counts == self.PINNED
         decoded = json.loads(trace.read_text())
         assert decoded["traceEvents"]

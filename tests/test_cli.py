@@ -29,7 +29,6 @@ FLAG_DEFAULTS = {
         "--quick": False,
         "--seed": 0,
         "--output": "BENCH_obs.json",
-        "--baseline": None,
         "--trace": None,
         "--profile": None,
     },
@@ -68,7 +67,6 @@ FLAG_DEFAULTS = {
         "--phase": None,
         "--seed": 1,
         "--output": None,
-        "--baseline": None,
     },
     "livesmoke": {
         "--replicas": 5,
@@ -94,7 +92,8 @@ FLAG_DEFAULTS = {
     },
 }
 
-#: Flags the experiment commands used to declare and then ignore.
+#: Flags the experiment commands used to declare and then ignore, and
+#: the wall-clock throughput floors ``bench`` and ``loadgen`` dropped.
 REMOVED_FLAGS = [
     ("figure3", "--seed", "1"),
     ("figure3", "--fast"),
@@ -103,6 +102,8 @@ REMOVED_FLAGS = [
     ("predict", "--seed", "1"),
     ("predict", "--fast"),
     ("reconfig-overhead", "--fast"),
+    ("bench", "--baseline", "BENCH_obs.json"),
+    ("loadgen", "--shards", "2", "--baseline", "BENCH_net.json"),
 ]
 
 
@@ -148,17 +149,17 @@ class TestParser:
         assert args.clients == 7
 
     def test_every_flag_name_and_default_is_pinned(self):
-        """70 flags over 16 commands (the parent's 77 minus seven)."""
+        """68 flags over 16 commands."""
         table = {
             name: declared_flags(sub)
             for name, sub in subcommands(build_parser()).items()
         }
         assert table == FLAG_DEFAULTS
-        assert sum(len(flags) for flags in table.values()) == 70
+        assert sum(len(flags) for flags in table.values()) == 68
 
     @pytest.mark.parametrize("argv", REMOVED_FLAGS)
     def test_ignored_experiment_flags_are_rejected(self, argv, capsys):
-        """Wall time: ~0.05 s for all seven cases (nothing runs)."""
+        """Wall time: ~0.05 s for all nine cases (nothing runs)."""
         with pytest.raises(SystemExit) as error:
             build_parser().parse_args(list(argv))
         assert error.value.code == 2
@@ -248,13 +249,11 @@ class TestLoadgenModes:
     CI_SPEC = [
         "--phase", "4", "--phase", "2", "--duration", "3", "--clients", "6",
         "--depth", "6", "--objects", "128",
-        "--baseline", "benchmarks/BENCH_net_baseline.json",
         "--output", "BENCH_net.json",
     ]
     CI_SHARDS = [
         "--shards", "2", "--duration", "2", "--clients", "6",
         "--objects", "128", "--seed", "1",
-        "--baseline", "benchmarks/BENCH_net_scaleout_baseline.json",
         "--output", "BENCH_net_scaleout.json",
     ]
 
@@ -276,10 +275,7 @@ class TestLoadgenModes:
         monkeypatch.setattr(
             cli,
             "_finish",
-            lambda result, output, extra, baseline: seen.update(
-                output=output, baseline=baseline
-            )
-            or 0,
+            lambda result, output, extra: seen.update(output=output) or 0,
         )
         assert main(["loadgen", *argv]) == 0
         return seen
