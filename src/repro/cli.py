@@ -544,11 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", type=Path, metavar="FILE",
         help="write the report/stats to FILE as well as stdout",
     )
-    qlint.add_argument(
-        "--cache", type=Path, metavar="DIR",
-        help="cache whole-run results in DIR keyed on file hashes "
-        "(cross-file rules make per-file caching unsound)",
-    )
 
     serve = command(
         "serve", _cmd_serve, "live runtime: run one protocol node over TCP",

@@ -81,18 +81,6 @@ class ProtocolError(ReproError):
     """A replication or reconfiguration protocol invariant was violated."""
 
 
-class QuorumUnavailableError(ProtocolError):
-    """Not enough live replicas exist to assemble the requested quorum."""
-
-
-class ReconfigurationInProgressError(ProtocolError):
-    """A new reconfiguration was requested while one is still running.
-
-    The Reconfiguration Manager serializes reconfigurations (Section 5.2 of
-    the paper): a new one may only start after the previous one concluded.
-    """
-
-
 class OracleError(ReproError):
     """The machine-learning oracle could not produce a prediction."""
 

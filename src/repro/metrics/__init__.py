@@ -2,7 +2,6 @@
 
 from repro.metrics.collector import (
     LatencySummary,
-    MovingAverage,
     OperationLog,
     percentile,
 )
@@ -18,7 +17,6 @@ __all__ = [
     "DipStatistics",
     "EventTimeline",
     "LatencySummary",
-    "MovingAverage",
     "OperationLog",
     "Timeline",
     "TimelineEvent",

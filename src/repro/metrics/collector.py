@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.common.errors import SimulationError
@@ -156,29 +156,3 @@ class OperationLog:
             p99=percentile(ordered, 0.99),
             maximum=ordered[-1],
         )
-
-
-@dataclass
-class MovingAverage:
-    """Fixed-capacity moving average used by the Autonomic Manager."""
-
-    window: int
-    _values: list[float] = field(default_factory=list)
-
-    def add(self, value: float) -> None:
-        self._values.append(value)
-        if len(self._values) > self.window:
-            del self._values[0]
-
-    @property
-    def value(self) -> float:
-        if not self._values:
-            return 0.0
-        return sum(self._values) / len(self._values)
-
-    @property
-    def full(self) -> bool:
-        return len(self._values) >= self.window
-
-    def __len__(self) -> int:
-        return len(self._values)

@@ -98,21 +98,7 @@ def parse_prometheus_text(text: str) -> Dict[str, float]:
     return samples
 
 
-def registry_samples(registry: MetricsRegistry) -> Dict[str, float]:
-    """The sample map :func:`to_prometheus_text` would export.
-
-    Computed straight from the live metrics, for comparing against
-    :func:`parse_prometheus_text` output.
-    """
-    return parse_prometheus_text(to_prometheus_text(registry))
-
-
 # -- JSON exports ----------------------------------------------------------
-
-
-def to_metrics_json(registry: MetricsRegistry) -> str:
-    """Registry snapshot as deterministic (sorted, compact) JSON."""
-    return json.dumps(registry.snapshot(), sort_keys=True, indent=2)
 
 
 def to_trace_json(tracer: Tracer) -> str:

@@ -9,7 +9,7 @@ tuple is small and picklable so it can ride on a network
 
 An :class:`Annotation` is an instant event — nemesis faults bridge into
 traces this way (via :meth:`repro.metrics.timeline.EventTimeline
-.bind_tracer`), so a Perfetto view shows each fault overlapping the
+.bind_observability`), so a Perfetto view shows each fault overlapping the
 client-retry spans it caused.
 
 All timestamps come from the simulator clock, never the wall clock, and
@@ -221,9 +221,6 @@ class Tracer:
         )
 
     # -- queries (tests and exporters) --------------------------------------
-
-    def finished_spans(self) -> List[Span]:
-        return [span for span in self.spans if span.finished]
 
     def spans_named(self, name: str) -> List[Span]:
         return [span for span in self.spans if span.name == name]

@@ -21,7 +21,7 @@ Four analyzer families over the ``repro`` source tree:
 
 Run via ``python -m repro.qlint`` or through the bundled pytest plugin
 (``repro.qlint.pytest_plugin``), which tier-1 test runs load.  See
-``docs/QLINT.md`` for the rule catalog, baseline/allowlist workflow,
+``docs/QLINT.md`` for the rule catalog, baseline/pragma workflow,
 and CI integration.
 """
 

@@ -6,7 +6,7 @@ finding is present, 2 on usage errors.  ``--format json`` emits a
 machine-readable report for CI; ``--format github`` emits workflow
 annotation commands that surface inline on PR diffs.  ``--stats``
 prints the suppression-debt summary instead of findings (optionally to
-``--output``), and ``--cache DIR`` enables the whole-run result cache.
+``--output``).
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ def run_command(args: argparse.Namespace) -> int:
             paths=args.paths or None,
             baseline_path=args.baseline,
             use_baseline=not args.no_baseline,
-            cache_dir=args.cache,
         )
     except ValueError as exc:  # malformed baseline
         print(f"qlint: {exc}", file=sys.stderr)

@@ -35,7 +35,7 @@ import ast
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.qlint.astutils import ImportMap, SourceFile
+from repro.qlint.astutils import ImportMap, SourceFile, relative_to_repro
 from repro.qlint.findings import Finding, Severity
 
 #: Files allowed to touch raw entropy: the seed-derivation module itself.
@@ -87,23 +87,13 @@ def _in_sanctuary(path: Path) -> bool:
     return any(text.endswith(suffix) for suffix in RNG_SANCTUARY)
 
 
-def _relative_to_repro(path: Path) -> str:
-    """Path relative to the ``repro`` package root, ``/``-separated."""
-    root = Path(__file__).resolve().parent.parent
-    try:
-        relative = path.resolve().relative_to(root)
-    except ValueError:
-        return str(path).replace("\\", "/")
-    return str(relative).replace("\\", "/")
-
-
 class DeterminismLinter:
     """AST walker producing QD001-QD004 findings for one file.
 
     ``nondeterminism_allowed`` is a list of package-relative path
-    prefixes (e.g. ``net/``, configured under ``[tool.qlint]`` in
-    pyproject) whose files may legitimately read ambient entropy and the
-    wall clock — the live runtime *is* nondeterministic by nature.  The
+    prefixes (default :data:`NONDETERMINISM_ALLOWED`, i.e. ``net/``)
+    whose files may legitimately read ambient entropy and the wall
+    clock — the live runtime *is* nondeterministic by nature.  The
     allowlist suppresses exactly :data:`ALLOWLIST_RULES`; set-iteration
     order (QD003) and shared mutable defaults (QD004) remain bugs in
     live code too and are still enforced there.
@@ -111,16 +101,19 @@ class DeterminismLinter:
 
     rules = ("QD001", "QD002", "QD003", "QD004")
 
+    #: The default ``nondeterminism_allowed``: the live runtime.
+    NONDETERMINISM_ALLOWED = ("net/",)
+
     #: The rules an allowlist entry waives — never QD003/QD004.
     ALLOWLIST_RULES = frozenset({"QD001", "QD002"})
 
     def __init__(
-        self, nondeterminism_allowed: Sequence[str] = ()
+        self, nondeterminism_allowed: Sequence[str] = NONDETERMINISM_ALLOWED
     ) -> None:
         self._allowed = tuple(nondeterminism_allowed)
 
     def _waived(self, path: Path) -> bool:
-        relative = _relative_to_repro(path)
+        relative = relative_to_repro(path)
         return any(relative.startswith(prefix) for prefix in self._allowed)
 
     def run(self, source: SourceFile) -> list[Finding]:

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import os
 import zlib
-from typing import BinaryIO, Dict, Iterator, List, Optional, Tuple, Union
+from typing import BinaryIO, Dict, List, Optional, Tuple, Union
 
 from repro.common.errors import ConfigurationError
 from repro.common.types import ObjectId, Version
@@ -361,14 +361,6 @@ class WalBackend:
         self._wal_reader.close()
         if self._snapshot_reader is not None:
             self._snapshot_reader.close()
-
-    # -- introspection (tests, metrics) --------------------------------------
-
-    def wal_records(self) -> Iterator[tuple]:
-        """Decode every intact record currently in the WAL file."""
-        self._wal.flush()
-        data = _read_file(self.wal_path) or b""
-        return iter([record for _extent, record in _read_records(data)[0]])
 
 
 #: What the storage node accepts as a backend.  A closed union rather

@@ -197,9 +197,6 @@ class StorageNode(Node):
         """Current stored version (ZERO-stamped if never written)."""
         return self._versions.get(object_id, missing_version())
 
-    def stored_objects(self) -> list[ObjectId]:
-        return list(self._versions)
-
     # -- Algorithm 6 ------------------------------------------------------------
 
     def _on_new_epoch(self, envelope: Envelope) -> None:

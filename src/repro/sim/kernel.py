@@ -396,11 +396,3 @@ class Simulator:
         raise SimulationError(
             f"unhandled exception in process {process.name}: {exc!r}"
         ) from exc
-
-
-def as_process(sim: Simulator, futures: Iterable[Future]) -> ProcessGen:
-    """Tiny helper: a process body awaiting a sequence of futures."""
-    results = []
-    for future in futures:
-        results.append((yield future))
-    return results

@@ -169,9 +169,6 @@ class Network:
     def mailbox(self, node_id: NodeId) -> Mailbox:
         return self._mailboxes[node_id]
 
-    def is_registered(self, node_id: NodeId) -> bool:
-        return node_id in self._mailboxes
-
     # -- failure management -------------------------------------------------
 
     def crash(self, node_id: NodeId) -> None:

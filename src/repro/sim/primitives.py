@@ -117,10 +117,6 @@ class Gate:
         self._open = open_
         self._waiters: list[Future] = []
 
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
     def open(self) -> None:
         self._open = True
         waiters, self._waiters = self._waiters, []
@@ -237,14 +233,6 @@ class Resource:
         self.busy_time = 0.0
         #: Total requests served to completion.
         self.completed = 0
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
-    @property
-    def in_service(self) -> int:
-        return self._busy
 
     def use(self, duration: float) -> Future:
         """Acquire a server, hold it ``duration`` seconds, then release."""

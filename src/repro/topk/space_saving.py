@@ -119,12 +119,6 @@ class SpaceSaving(Generic[ItemT]):
         counter = self._counters.get(item)
         return counter.count if counter is not None else 0
 
-    def error_bound(self) -> int:
-        """Maximum possible overestimation for any tracked item."""
-        if self._capacity == 0:
-            return 0
-        return self._total // self._capacity
-
     def entries(self) -> list[TopKEntry[ItemT]]:
         """All tracked items, most frequent first."""
         ordered = sorted(

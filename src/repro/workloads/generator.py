@@ -193,9 +193,6 @@ class MixedWorkload(Workload):
             ids.extend(workload.object_ids())
         return ids
 
-    def component_workloads(self) -> list[SyntheticWorkload]:
-        return list(self._workloads)
-
     def sample(self, rng: random.Random) -> tuple[ObjectId, OpType, int]:
         draw = rng.random()
         for index, edge in enumerate(self._cumulative):

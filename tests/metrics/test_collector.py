@@ -9,7 +9,6 @@ from repro.common.errors import SimulationError
 from repro.common.types import OpType
 from repro.metrics.collector import (
     LatencySummary,
-    MovingAverage,
     OperationLog,
     percentile,
 )
@@ -107,30 +106,6 @@ class TestOperationLog:
         log.record_retry()
         log.record_retry()
         assert log.retries == 2
-
-
-class TestMovingAverage:
-    def test_empty_average_is_zero(self):
-        assert MovingAverage(window=3).value == 0.0
-
-    def test_average_over_window(self):
-        avg = MovingAverage(window=3)
-        for value in [1.0, 2.0, 3.0]:
-            avg.add(value)
-        assert avg.value == pytest.approx(2.0)
-        assert avg.full
-
-    def test_old_values_evicted(self):
-        avg = MovingAverage(window=2)
-        for value in [10.0, 1.0, 3.0]:
-            avg.add(value)
-        assert avg.value == pytest.approx(2.0)
-
-    def test_len_tracks_fill(self):
-        avg = MovingAverage(window=5)
-        avg.add(1.0)
-        assert len(avg) == 1
-        assert not avg.full
 
 
 class TestSortedViewMemoization:

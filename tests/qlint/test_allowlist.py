@@ -5,15 +5,9 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
-from repro.qlint.astutils import SourceFile
+from repro.qlint.astutils import SourceFile, iter_python_files
 from repro.qlint.determinism import DeterminismLinter
-from repro.qlint.runner import (
-    DETERMINISM_PACKAGES,
-    load_nondeterminism_allowlist,
-    repro_root,
-    run_suite,
-    _parse_allowlist_fallback,
-)
+from repro.qlint.runner import DETERMINISM_PACKAGES, repro_root, run_suite
 
 
 def _lint(
@@ -52,9 +46,8 @@ _SET_ITERATION = """
 """
 
 
-def test_pyproject_allowlist_covers_net() -> None:
-    allowed = load_nondeterminism_allowlist()
-    assert "net/" in allowed
+def test_default_allowlist_covers_net() -> None:
+    assert "net/" in DeterminismLinter.NONDETERMINISM_ALLOWED
 
 
 def test_net_is_in_the_default_determinism_scope() -> None:
@@ -95,7 +88,7 @@ def test_non_allowlisted_path_is_fully_gated(tmp_path) -> None:
 
 def test_sim_and_sds_have_no_live_waiver_in_default_suite() -> None:
     """The shipped allowlist must not reach beyond the live runtime."""
-    for prefix in load_nondeterminism_allowlist():
+    for prefix in DeterminismLinter.NONDETERMINISM_ALLOWED:
         assert prefix.startswith("net"), prefix
 
 
@@ -106,50 +99,15 @@ def test_default_suite_is_clean_with_allowlist() -> None:
 def test_net_violations_exist_and_are_waived_not_absent() -> None:
     """Prove the allowlist does real work: disabling it finds QD001/2
     in net/, and every such finding is on an allowlisted path."""
-    findings = run_suite(nondeterminism_allowed=())
+    unwaived = DeterminismLinter(nondeterminism_allowed=())
+    packages = [repro_root() / package for package in DETERMINISM_PACKAGES]
     waived = [
-        f for f in findings
-        if f.rule in DeterminismLinter.ALLOWLIST_RULES
+        finding
+        for path in iter_python_files(packages)
+        for finding in unwaived.run(SourceFile.parse(path))
+        if finding.rule in DeterminismLinter.ALLOWLIST_RULES
     ]
     assert waived, "expected live-runtime clock/entropy findings"
     for finding in waived:
         path = finding.path.replace("\\", "/")
         assert "/net/" in path, finding
-
-
-def test_fallback_parser_matches_tomllib() -> None:
-    text = (repro_root().parent.parent / "pyproject.toml").read_text(
-        encoding="utf-8"
-    )
-    assert _parse_allowlist_fallback(text) == load_nondeterminism_allowlist()
-
-
-def test_fallback_parser_handles_multiline_arrays() -> None:
-    text = textwrap.dedent(
-        """
-        [tool.other]
-        nondeterminism_allowed = ["decoy/"]
-
-        [tool.qlint]
-        # comment
-        nondeterminism_allowed = [
-            "net/",
-            'live/',
-        ]
-
-        [tool.after]
-        x = 1
-        """
-    )
-    assert _parse_allowlist_fallback(text) == ("net/", "live/")
-
-
-def test_fallback_parser_empty_cases() -> None:
-    assert _parse_allowlist_fallback("") == ()
-    assert _parse_allowlist_fallback("[tool.qlint]\n") == ()
-    assert (
-        _parse_allowlist_fallback(
-            "[tool.qlint]\nnondeterminism_allowed = []\n"
-        )
-        == ()
-    )

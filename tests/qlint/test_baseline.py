@@ -15,7 +15,7 @@ from repro.qlint.baseline import (
     load_baseline,
 )
 from repro.qlint.findings import Finding, Severity
-from repro.qlint.runner import run_suite, run_suite_report
+from repro.qlint.runner import collect_stats, run_suite, run_suite_report
 
 VIOLATION = """
     import random
@@ -158,3 +158,17 @@ class TestSuiteIntegration:
         assert report.stale_entries == []
         assert report.findings == []
         assert len(report.baselined) >= 1
+
+    def test_default_scope_suppression_accounting_is_pinned(self):
+        """Every finding the two suppression layers hide, counted
+        exactly: an edit to a layer cannot silently swallow or unmask
+        one.  Wall time: one default-scope suite run, ~3 s."""
+        stats = collect_stats(run_suite_report())
+        assert stats["findings"]["total"] == 0
+        assert stats["suppressions"] == {
+            "baseline_entries": 7,
+            "baseline_matched_findings": 8,
+            "baseline_matched_by_rule": {"QC001": 3, "QC003": 5},
+            "baseline_stale_entries": 0,
+            "pragma_mentions_by_rule": {"QD003": 1},
+        }

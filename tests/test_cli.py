@@ -41,7 +41,6 @@ FLAG_DEFAULTS = {
         "--no-baseline": False,
         "--stats": False,
         "--output": None,
-        "--cache": None,
     },
     "serve": {"--spec": None, "--node": None},
     "cluster": {
@@ -92,8 +91,9 @@ FLAG_DEFAULTS = {
     },
 }
 
-#: Flags the experiment commands used to declare and then ignore, and
-#: the wall-clock throughput floors ``bench`` and ``loadgen`` dropped.
+#: Flags the experiment commands used to declare and then ignore, the
+#: wall-clock throughput floors ``bench`` and ``loadgen`` dropped, and
+#: the result cache ``qlint`` dropped.
 REMOVED_FLAGS = [
     ("figure3", "--seed", "1"),
     ("figure3", "--fast"),
@@ -104,6 +104,7 @@ REMOVED_FLAGS = [
     ("reconfig-overhead", "--fast"),
     ("bench", "--baseline", "BENCH_obs.json"),
     ("loadgen", "--shards", "2", "--baseline", "BENCH_net.json"),
+    ("qlint", "--cache", ".qlint-cache"),
 ]
 
 
@@ -149,17 +150,17 @@ class TestParser:
         assert args.clients == 7
 
     def test_every_flag_name_and_default_is_pinned(self):
-        """68 flags over 16 commands."""
+        """67 flags over 16 commands."""
         table = {
             name: declared_flags(sub)
             for name, sub in subcommands(build_parser()).items()
         }
         assert table == FLAG_DEFAULTS
-        assert sum(len(flags) for flags in table.values()) == 68
+        assert sum(len(flags) for flags in table.values()) == 67
 
     @pytest.mark.parametrize("argv", REMOVED_FLAGS)
     def test_ignored_experiment_flags_are_rejected(self, argv, capsys):
-        """Wall time: ~0.05 s for all nine cases (nothing runs)."""
+        """Wall time: ~0.05 s for all ten cases (nothing runs)."""
         with pytest.raises(SystemExit) as error:
             build_parser().parse_args(list(argv))
         assert error.value.code == 2
