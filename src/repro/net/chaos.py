@@ -37,7 +37,6 @@ from __future__ import annotations
 import asyncio
 import math
 import os
-import random
 import tempfile
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -50,13 +49,13 @@ from repro.net.loadgen import (
     LoadGenerator,
     LoadgenResult,
     PhaseResult,
+    ReadSweep,
     Samples,
     metric_value,
     run_live,
 )
 from repro.net.spec import ClusterSpec, build_spec
 from repro.sds.client import OperationRecord
-from repro.workloads.base import Operation
 
 #: Name of the quiescent read-back phase.
 READBACK = "readback"
@@ -118,27 +117,6 @@ async def _run_cycles(
             await cluster.kill_and_restart(cycle.victim, cycle.downtime)
         )
     return records
-
-
-@dataclass
-class _ReadbackSource:
-    """Round-robin read-only sweep over a fixed object set.
-
-    Cycling (rather than sampling) guarantees every object is read at
-    least once per ``len(objects)`` issued operations, so a long-enough
-    sweep covers the whole keyspace deterministically.
-    """
-
-    objects: List[ObjectId]
-    _cursor: int = 0
-
-    def next_operation(self, rng: random.Random) -> Operation:
-        del rng
-        object_id = self.objects[self._cursor % len(self.objects)]
-        self._cursor += 1
-        return Operation(
-            object_id=object_id, op_type=OpType.READ, size=0, value=b""
-        )
 
 
 def count_lost_acked_writes(
@@ -391,7 +369,7 @@ async def run_chaos(
             name=READBACK,
             duration=max(2.0, objects / 25.0),
             write_quorum=2,
-            source=_ReadbackSource(objects=generator.workload.object_ids()),
+            source=ReadSweep(objects=generator.workload.object_ids()),
         )
         lost, lost_details = count_lost_acked_writes(
             generator.records, generator.records[before:]

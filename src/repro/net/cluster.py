@@ -16,6 +16,12 @@ fails fast the moment the polled worker's process exits.  A restart
 respawns with exponential backoff until the worker answers, then waits
 out the replica's I6 quarantine.
 
+Every worker starts from a private bytecode cache (:func:`worker_env`):
+Python's ``PYTHONPYCACHEPREFIX`` points at a per-user directory outside
+the checkout, filled once, standard library included, by one
+interpreter before the first spawn, so a boot or a restart loads
+compiled modules instead of compiling the same source seven times.
+
 Shutdown is graceful-then-forceful: ``GET /shutdown`` on every node,
 bounded wait, then ``terminate()``/``kill()`` for stragglers.
 """
@@ -23,19 +29,23 @@ bounded wait, then ``terminate()``/``kill()`` for stragglers.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import os
 import signal
 import socket
+import stat
 import subprocess
 import sys
 import tempfile
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.net.httpd import http_get
 from repro.net.spec import ClusterSpec, NodeAddress
 
-#: Seconds between two ``/healthz`` polls of one worker.
+#: Seconds before the first ``/healthz`` re-poll of one worker; each
+#: later pause doubles, up to ``HEALTH_POLL``.
+HEALTH_POLL_FIRST = 0.01
 HEALTH_POLL = 0.1
 #: Timeout of one control request (``/healthz``, ``/shutdown``).
 REQUEST_TIMEOUT = 2.0
@@ -50,6 +60,22 @@ BACKOFF_CAP = 2.0
 MAX_RESTART_ATTEMPTS = 3
 #: Seconds workers get to exit after ``/shutdown`` before ``terminate()``.
 SHUTDOWN_GRACE = 10.0
+#: The directory holding the ``repro`` package the workers run.
+SRC_ROOT = os.path.dirname(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+)
+#: What the cache fill imports: every role's modules (a worker loads a
+#: subset).  A module left out is compiled, and cached, by the first
+#: worker that imports it.
+WORKER_MODULES = (
+    "repro.cli",
+    "repro.net.runtime",
+    "repro.sds.storage",
+    "repro.sds.proxy",
+    "repro.reconfig.manager",
+)
+#: Seconds the one-off cache fill may take before workers start without it.
+FILL_TIMEOUT = 60.0
 
 
 def allocate_ports(spec: ClusterSpec) -> ClusterSpec:
@@ -122,6 +148,93 @@ def proc_stats(pid: int) -> Optional[Dict[str, float]]:
     }
 
 
+def private_cache_dir() -> Optional[str]:
+    """This user's bytecode cache directory under the temp directory.
+
+    Created with mode 0700.  ``None`` when it cannot be created, or when
+    what is there is not a directory of this user's that only this user
+    can write: bytecode someone else can plant must never run.
+    """
+    path = os.path.join(
+        tempfile.gettempdir(), f"repro-pycache-{os.getuid()}"
+    )
+    try:
+        os.mkdir(path, 0o700)
+    except FileExistsError:
+        pass
+    except OSError:
+        return None
+    try:
+        info = os.lstat(path)
+    except OSError:
+        return None
+    if (
+        not stat.S_ISDIR(info.st_mode)
+        or info.st_uid != os.getuid()
+        or info.st_mode & 0o022
+    ):
+        return None
+    return path
+
+
+def _fill_cache(env: Dict[str, str]) -> bool:
+    """Compile every role's modules, and the standard library they
+    import, into ``env``'s prefix once; later calls find the stamp.
+
+    The stamp is per interpreter and per source tree, because the
+    prefix mirrors both by absolute path.  Whether a cached module is
+    still fresh is never decided here: Python checks each ``.pyc``
+    against its source's mtime and size on every import.
+    """
+    key = f"{sys.executable}\n{SRC_ROOT}".encode("utf-8")
+    stamp = os.path.join(
+        env["PYTHONPYCACHEPREFIX"],
+        f"repro-filled.{sys.implementation.cache_tag}."
+        f"{hashlib.sha256(key).hexdigest()[:16]}",
+    )
+    if os.path.exists(stamp):
+        return True
+    try:
+        os.makedirs(env["PYTHONPYCACHEPREFIX"], exist_ok=True)
+        subprocess.run(
+            [sys.executable, "-c", "import " + ", ".join(WORKER_MODULES)],
+            env=env,
+            check=True,
+            timeout=FILL_TIMEOUT,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        with open(stamp, "w", encoding="ascii"):
+            pass
+    except (OSError, subprocess.SubprocessError):
+        return False
+    return True
+
+
+def worker_env(environ: Mapping[str, str]) -> Dict[str, str]:
+    """The environment a ``serve`` worker starts with.
+
+    ``environ`` plus ``SRC_ROOT`` on ``PYTHONPATH`` and, whenever a
+    cache can be filled, ``PYTHONPYCACHEPREFIX`` — the environment's own
+    or :func:`private_cache_dir` — with bytecode writes on: with a
+    prefix set Python reads and writes ``.pyc`` files only there, never
+    next to a source file or in the interpreter's library.  Without a
+    usable cache the worker compiles in memory, as it would without
+    this function.
+    """
+    env = dict(environ)
+    existing = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = (
+        SRC_ROOT if not existing else SRC_ROOT + os.pathsep + existing
+    )
+    prefix = env.get("PYTHONPYCACHEPREFIX") or private_cache_dir()
+    if prefix is None:
+        return env
+    cached = dict(env, PYTHONPYCACHEPREFIX=prefix)
+    cached.pop("PYTHONDONTWRITEBYTECODE", None)
+    return cached if _fill_cache(cached) else env
+
+
 def backoff(attempt: int) -> float:
     """Seconds to wait after failed restart ``attempt`` (0-based)."""
     return min(BACKOFF_CAP, BACKOFF_BASE * (2.0 ** attempt))
@@ -142,6 +255,7 @@ async def _poll_healthz(
     """
     loop = asyncio.get_running_loop()
     give_up = loop.time() + deadline
+    pause = HEALTH_POLL_FIRST
     while True:
         code = None if process is None else process.poll()
         if code is not None:
@@ -164,7 +278,8 @@ async def _poll_healthz(
             raise TimeoutError(
                 f"worker {address.name} not healthy in {deadline}s"
             )
-        await asyncio.sleep(HEALTH_POLL)
+        await asyncio.sleep(pause)
+        pause = min(HEALTH_POLL, 2 * pause)
 
 
 async def wait_spec_healthy(spec: ClusterSpec) -> None:
@@ -235,6 +350,8 @@ class LocalCluster:
         self._workdir = workdir or tempfile.mkdtemp(prefix="qopt-cluster-")
         self.spec_path = os.path.join(self._workdir, "cluster.json")
         self.workers: List[NodeProcess] = []
+        #: Every spawn's environment, made at the first spawn.
+        self._env: Optional[Dict[str, str]] = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -247,15 +364,8 @@ class LocalCluster:
             )
 
     def _spawn(self, node_name: str) -> subprocess.Popen:
-        env = dict(os.environ)
-        src_root = os.path.dirname(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        )
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            src_root if not existing
-            else src_root + os.pathsep + existing
-        )
+        if self._env is None:
+            self._env = worker_env(os.environ)
         return subprocess.Popen(
             [
                 sys.executable,
@@ -267,7 +377,7 @@ class LocalCluster:
                 "--node",
                 node_name,
             ],
-            env=env,
+            env=self._env,
         )
 
     # -- supervision ---------------------------------------------------------
@@ -444,6 +554,8 @@ __all__ = [
     "RestartRecord",
     "allocate_ports",
     "backoff",
+    "private_cache_dir",
     "proc_stats",
     "wait_spec_healthy",
+    "worker_env",
 ]

@@ -19,7 +19,10 @@ verdicts through a :class:`HarnessChecks`.
 
 Write values are tagged with a per-phase prefix on top of the workload's
 globally-unique tokens, so the cross-phase history keeps the unique-value
-property the checker relies on.
+property the checker relies on.  A run against a cluster booted
+elsewhere (:func:`run_bench`) first reads every object once: an earlier
+run's values are the checker's initial values, so a same-seed rerun,
+which writes the same tokens again, still checks.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import (
 )
 
 from repro.common.rng import substream
-from repro.common.types import NodeId, OpType
+from repro.common.types import NodeId, ObjectId, OpType
 from repro.metrics.collector import OperationLog, percentile
 from repro.net.cluster import LocalCluster, wait_spec_healthy
 from repro.net.httpd import http_get
@@ -58,6 +61,9 @@ from repro.workloads.base import Operation, Workload
 #: A parsed ``/metrics`` page: ``{series: value}``.
 Samples = Dict[str, float]
 
+#: Seconds the read sweep before a run's first phase may take.
+SWEEP_DEADLINE = 10.0
+
 
 @dataclass(frozen=True)
 class _PhaseTaggedSource:
@@ -71,6 +77,27 @@ class _PhaseTaggedSource:
         if operation.op_type is OpType.WRITE:
             return replace(operation, value=self.tag + operation.value)
         return operation
+
+
+@dataclass
+class ReadSweep:
+    """Round-robin read-only sweep over a fixed object set.
+
+    Cycling (rather than sampling) guarantees every object is read at
+    least once per ``len(objects)`` issued operations, so a long-enough
+    sweep covers the whole keyspace deterministically.
+    """
+
+    objects: List[ObjectId]
+    _cursor: int = 0
+
+    def next_operation(self, rng: random.Random) -> Operation:
+        del rng
+        object_id = self.objects[self._cursor % len(self.objects)]
+        self._cursor += 1
+        return Operation(
+            object_id=object_id, op_type=OpType.READ, size=0, value=b""
+        )
 
 
 @dataclass
@@ -418,6 +445,9 @@ class LoadGenerator:
         self.kernel: Optional[RealtimeKernel] = None
         self.transport: Optional[TcpTransport] = None
         self.records: List[OperationRecord] = []
+        #: Each object's value before the first phase (see
+        #: :meth:`read_initial_values`); unlisted objects start at None.
+        self.initial_values: Dict[ObjectId, Optional[bytes]] = {}
         #: Wall seconds spent in live reconfigurations (None: none ran).
         self.reconfig_seconds: Optional[float] = None
         self._next_client_index = 0
@@ -460,6 +490,42 @@ class LoadGenerator:
         await wait_spec_healthy(self.spec)
 
     # -- phases --------------------------------------------------------------
+
+    async def read_initial_values(self) -> None:
+        """Read every object once, before the first phase.
+
+        The values become the history checker's initial values.  The
+        sweep's reads join no phase and no history; an object not read
+        within :data:`SWEEP_DEADLINE` keeps the initial value ``None``.
+        """
+        assert self.kernel is not None and self.transport is not None
+        kernel = self.kernel
+        objects = self._workload.object_ids()
+        values = self.initial_values
+
+        def record(op_record: OperationRecord) -> None:
+            values.setdefault(op_record.object_id, op_record.value)
+
+        index = self._next_client_index
+        self._next_client_index += 1
+        client = ClientNode(
+            kernel,
+            self.transport,
+            NodeId.client(index),
+            proxy_id=self.spec.proxy_ids()[0],
+            workload=ReadSweep(objects=objects),
+            rng=substream(self.seed, "client", index),
+            log=OperationLog(),
+            recorder=record,
+            policy=self.spec.client,
+            pipeline_depth=self.pipeline_depth,
+            router=self.router,
+        )
+        client.start()
+        give_up = kernel.tick() + SWEEP_DEADLINE
+        while len(values) < len(objects) and kernel.tick() < give_up:
+            await asyncio.sleep(0.01)
+        client.crash()
 
     async def run_phase(
         self,
@@ -661,12 +727,12 @@ class LoadGenerator:
         Sharding makes the split sound, not just cheaper: objects never
         span shards, linearizability is local to an object's shard, and
         the per-shard verdicts compose into the fleet verdict.  A single
-        ring is one ``shard-0`` holding the whole history.  Reads that
-        completed without observing any write decode against the
-        register's initial value; the checker handles that natively.
+        ring is one ``shard-0`` holding the whole history.  Every object
+        starts at its :attr:`initial_values` entry, ``None`` if unread.
         """
         checkers = {
-            name: HistoryChecker() for name in self.shard_map.shard_names
+            name: HistoryChecker(initial=self.initial_values)
+            for name in self.shard_map.shard_names
         }
         for op_record in self.records:
             shard = self.shard_map.shard_of(op_record.object_id)
@@ -720,6 +786,7 @@ async def run_bench(
     await generator.start()
     try:
         await generator.wait_cluster_healthy()
+        await generator.read_initial_values()
         await generator.run_quorum_phases(phases, duration)
         return generator.result()
     finally:
@@ -786,6 +853,7 @@ __all__ = [
     "LoadGenerator",
     "LoadgenResult",
     "PhaseResult",
+    "ReadSweep",
     "ShardOutcome",
     "merged_latency_summary",
     "metric_value",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import asyncio
 import os
-from typing import Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union, cast
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import substream
@@ -28,10 +28,12 @@ from repro.net.spec import ClusterSpec, NodeAddress, Shard
 from repro.net.tcp import TcpTransport
 from repro.obs.context import Observability
 from repro.obs.exporters import to_prometheus_text
-from repro.reconfig.manager import ReconfigurationManager
-from repro.sds.persistence import WalBackend
-from repro.sds.proxy import ProxyNode
-from repro.sds.storage import StorageNode
+
+if TYPE_CHECKING:
+    from repro.reconfig.manager import ReconfigurationManager
+    from repro.sds.persistence import WalBackend
+    from repro.sds.proxy import ProxyNode
+    from repro.sds.storage import StorageNode
 
 
 class NeverSuspect:
@@ -50,7 +52,11 @@ class NeverSuspect:
 
 
 #: The node classes a runtime can host.
-LiveNode = Union[StorageNode, ProxyNode, ReconfigurationManager]
+LiveNode = Union["StorageNode", "ProxyNode", "ReconfigurationManager"]
+
+STORAGE = NodeKind.STORAGE.value
+PROXY = NodeKind.PROXY.value
+MANAGER = NodeKind.RECONFIG_MANAGER.value
 
 
 class NodeRuntime:
@@ -63,6 +69,9 @@ class NodeRuntime:
         #: The shard this process belongs to (the whole fleet when the
         #: spec has one shard).
         self.shard: Shard = spec.shard_for(node_name)
+        #: The role this process serves: ``STORAGE``, ``PROXY`` or
+        #: ``MANAGER``.
+        self.kind: str = self.node_id.kind
         self.kernel: RealtimeKernel = RealtimeKernel()
         self.obs = Observability(
             tracing=False, clock=lambda: self.kernel.now
@@ -76,7 +85,7 @@ class NodeRuntime:
         )
         #: Durable storage backend, if this process hosts a WAL-backed
         #: replica (``spec.data_dir`` set); closed on shutdown.
-        self.backend: Optional[WalBackend] = None
+        self.backend: Optional["WalBackend"] = None
         self.node: LiveNode = self._build_node()
         self._shutdown = asyncio.Event()
         self.http = MiniHttpServer(
@@ -90,13 +99,19 @@ class NodeRuntime:
     def _build_node(self) -> LiveNode:
         spec = self.spec
         shard = self.shard
-        kind = self.node_id.kind
+        kind = self.kind
         # Every protocol object sees only its shard's topology: ring,
         # membership and initial plan all come from the shard, so a
         # shard is a complete, independent Q-OPT instance.
         plan = shard.initial_plan()
-        if kind == NodeKind.STORAGE.value:
+        # Each role imports its own node class here and nothing of the
+        # other two: a storage worker never loads the proxy or the RM.
+        if kind == STORAGE:
+            from repro.sds.storage import StorageNode
+
             if spec.data_dir:
+                from repro.sds.persistence import WalBackend
+
                 self.backend = WalBackend(
                     os.path.join(spec.data_dir, self.address.name)
                 )
@@ -111,7 +126,9 @@ class NodeRuntime:
                 obs=self.obs,
                 backend=self.backend,
             )
-        if kind == NodeKind.PROXY.value:
+        if kind == PROXY:
+            from repro.sds.proxy import ProxyNode
+
             return ProxyNode(
                 self.kernel,
                 self.transport,
@@ -122,7 +139,9 @@ class NodeRuntime:
                 rng=substream(spec.seed, "proxy", self.node_id.index),
                 obs=self.obs,
             )
-        if kind == NodeKind.RECONFIG_MANAGER.value:
+        if kind == MANAGER:
+            from repro.reconfig.manager import ReconfigurationManager
+
             return ReconfigurationManager(
                 self.kernel,
                 self.transport,
@@ -166,7 +185,7 @@ class NodeRuntime:
             "/healthz": self._handle_healthz,
             "/shutdown": self._handle_shutdown,
         }
-        if isinstance(self.node, ReconfigurationManager):
+        if self.kind == MANAGER:
             routes["/reconfig"] = self._handle_reconfig
         return routes
 
@@ -220,57 +239,58 @@ class NodeRuntime:
             "qopt_kernel_crashes_total",
             help="unhandled process crashes", shard=shard, node=node,
         ).set(float(len(self.kernel.crashes)))
-        node_obj = self.node
-        if isinstance(node_obj, ProxyNode):
+        if self.kind == PROXY:
+            proxy = cast("ProxyNode", self.node)
             registry.gauge(
                 "qopt_lease_read_hits_total",
                 help="reads served on the one-replica lease path",
                 shard=shard, node=node,
-            ).set(float(node_obj.lease_read_hits))
+            ).set(float(proxy.lease_read_hits))
             registry.gauge(
                 "qopt_lease_read_misses_total",
                 help="lease fast-path attempts that fell back to quorum",
                 shard=shard, node=node,
-            ).set(float(node_obj.lease_read_misses))
+            ).set(float(proxy.lease_read_misses))
             registry.gauge(
                 "qopt_leases_acquired_total",
                 help="lease grants installed", shard=shard, node=node,
-            ).set(float(node_obj.leases_acquired))
+            ).set(float(proxy.leases_acquired))
             registry.gauge(
                 "qopt_leases_held",
                 help="objects currently leased by this proxy",
                 shard=shard, node=node,
-            ).set(float(node_obj.leases_held()))
-        if isinstance(node_obj, StorageNode):
+            ).set(float(proxy.leases_held()))
+        if self.kind == STORAGE:
+            storage = cast("StorageNode", self.node)
             registry.gauge(
                 "qopt_leases_granted_total",
                 help="lease grants issued as primary", shard=shard, node=node,
-            ).set(float(node_obj.leases_granted))
+            ).set(float(storage.leases_granted))
             registry.gauge(
                 "qopt_leases_broken_total",
                 help="grants invalidated by writes or epoch change",
                 shard=shard, node=node,
-            ).set(float(node_obj.leases_broken))
+            ).set(float(storage.leases_broken))
             registry.gauge(
                 "qopt_lease_reads_served_total",
                 help="lease reads served as primary", shard=shard, node=node,
-            ).set(float(node_obj.lease_reads_served))
+            ).set(float(storage.lease_reads_served))
             registry.gauge(
                 "qopt_lease_nacks_total",
                 help="lease requests/reads refused", shard=shard, node=node,
-            ).set(float(node_obj.lease_nacks_sent))
+            ).set(float(storage.lease_nacks_sent))
             registry.gauge(
                 "qopt_replica_quarantined",
                 help="1 while read-excluded pending I6 catch-up", shard=shard, node=node,
-            ).set(1.0 if node_obj.quarantined else 0.0)
+            ).set(1.0 if storage.quarantined else 0.0)
             registry.gauge(
                 "qopt_replica_recoveries_total",
                 help="quarantined rejoins completed", shard=shard, node=node,
-            ).set(float(node_obj.recoveries_completed))
+            ).set(float(storage.recoveries_completed))
             registry.gauge(
                 "qopt_replica_reads_declined",
                 help="reads refused while quarantined", shard=shard, node=node,
-            ).set(float(node_obj.reads_declined))
+            ).set(float(storage.reads_declined))
         backend = self.backend
         if backend is not None:
             registry.gauge(
@@ -296,21 +316,20 @@ class NodeRuntime:
         del query
         node = self.node
         shard = self.shard.name
-        if isinstance(node, StorageNode):
+        if self.kind == STORAGE:
+            storage = cast("StorageNode", node)
             # The quarantine flag is what LocalCluster (and operators)
             # poll to see a restarted replica finish its I6 catch-up.
             return 200, "text/plain", (
                 f"ok {self.node_id} shard={shard}"
-                f" quarantined={str(node.quarantined).lower()}"
-                f" epoch={node.epoch_no} cfg={node.cfg_no}\n"
+                f" quarantined={str(storage.quarantined).lower()}"
+                f" epoch={storage.epoch_no} cfg={storage.cfg_no}\n"
             )
-        if isinstance(node, (ProxyNode, ReconfigurationManager)):
-            # Operators read the shard's current epoch and config here.
-            return 200, "text/plain", (
-                f"ok {self.node_id} shard={shard}"
-                f" epoch={node.epoch_no} cfg={node.cfg_no}\n"
-            )
-        return 200, "text/plain", f"ok {self.node_id} shard={shard}\n"
+        # Operators read the shard's current epoch and config here.
+        return 200, "text/plain", (
+            f"ok {self.node_id} shard={shard}"
+            f" epoch={node.epoch_no} cfg={node.cfg_no}\n"
+        )
 
     async def _handle_shutdown(
         self, query: Dict[str, str]
@@ -322,8 +341,7 @@ class NodeRuntime:
     async def _handle_reconfig(
         self, query: Dict[str, str]
     ) -> Tuple[int, str, str]:
-        manager = self.node
-        assert isinstance(manager, ReconfigurationManager)
+        manager = cast("ReconfigurationManager", self.node)
         raw = query.get("write")
         if raw is None or not raw.isdigit():
             return 400, "text/plain", "need ?write=<W>\n"

@@ -22,23 +22,63 @@ shared disabled tracer, so the uninstrumented fast path stays
 allocation-free.
 """
 
-from repro.obs.context import Observability
-from repro.obs.exporters import (
-    parse_prometheus_text,
-    to_chrome_trace,
-    to_chrome_trace_json,
-    to_prometheus_text,
-    to_trace_json,
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.obs.context import Observability
+    from repro.obs.exporters import (
+        parse_prometheus_text,
+        to_chrome_trace,
+        to_chrome_trace_json,
+        to_prometheus_text,
+        to_trace_json,
+    )
+    from repro.obs.metrics import (
+        Counter,
+        Gauge,
+        Histogram,
+        HistogramSnapshot,
+        MetricsRegistry,
+        default_latency_bounds,
+    )
+    from repro.obs.trace import (
+        NULL_SPAN,
+        Annotation,
+        Span,
+        SpanContext,
+        Tracer,
+    )
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.obs.context": ("Observability",),
+        "repro.obs.exporters": (
+            "parse_prometheus_text",
+            "to_chrome_trace",
+            "to_chrome_trace_json",
+            "to_prometheus_text",
+            "to_trace_json",
+        ),
+        "repro.obs.metrics": (
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "HistogramSnapshot",
+            "MetricsRegistry",
+            "default_latency_bounds",
+        ),
+        "repro.obs.trace": (
+            "NULL_SPAN",
+            "Annotation",
+            "Span",
+            "SpanContext",
+            "Tracer",
+        ),
+    },
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    HistogramSnapshot,
-    MetricsRegistry,
-    default_latency_bounds,
-)
-from repro.obs.trace import NULL_SPAN, Annotation, Span, SpanContext, Tracer
 
 __all__ = [
     "Annotation",

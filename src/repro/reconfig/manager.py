@@ -56,7 +56,6 @@ from repro.sds.messages import (
 )
 from repro.sds.quorum import QuorumPlan, QuorumSystem
 from repro.net.transport import Transport
-from repro.sim.failure import SuspicionSource
 from repro.sim.kernel import Future, Process, Simulator
 from repro.sim.network import Envelope
 from repro.sim.node import Node
@@ -64,6 +63,7 @@ from repro.sim.primitives import Mutex, wait_for
 
 if TYPE_CHECKING:
     from repro.sds.cluster import SwiftCluster
+    from repro.sim.failure import SuspicionSource
 
 #: Size of control-plane messages on the wire, bytes.
 _CONTROL_BYTES = 512

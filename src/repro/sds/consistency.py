@@ -79,12 +79,17 @@ class HistoryChecker:
 
     The specification: at its linearization point a write installs its
     (globally unique) value and a read returns the value installed by
-    the most recently linearized write (``None`` before the first
-    write).  Writes that never completed (in flight at the end of the
-    run) may linearize or not; reads must always linearize.
+    the most recently linearized write (the object's ``initial`` value
+    before the first write, ``None`` unless given).  Writes that never
+    completed (in flight at the end of the run) may linearize or not;
+    reads must always linearize.
     """
 
     records: list[OperationRecord] = field(default_factory=list)
+    #: Per-object value before the history starts, for a history taken
+    #: against a store that earlier runs wrote to.  Objects not listed
+    #: start at ``None``.
+    initial: dict[ObjectId, Optional[bytes]] = field(default_factory=dict)
 
     def record(self, record: OperationRecord) -> None:
         """Recorder callback — pass ``checker.record`` to the clients."""
@@ -137,12 +142,13 @@ class HistoryChecker:
             if existing is None or record.completed_at < existing.completed_at:
                 write_by_value[record.value] = record
 
+        initial = self.initial.get(object_id)
         violations: list[Violation] = []
         reads: list[OperationRecord] = []
         for record in history:
             if record.op_type is not OpType.READ:
                 continue
-            if record.value is not None and record.value not in write_by_value:
+            if record.value not in write_by_value and record.value != initial:
                 violations.append(
                     Violation(
                         kind="fabricated-value",
@@ -156,7 +162,7 @@ class HistoryChecker:
             else:
                 reads.append(record)
 
-        possible_values: frozenset[Optional[bytes]] = frozenset({None})
+        possible_values: frozenset[Optional[bytes]] = frozenset({initial})
         for chunk in self._chunks([*reads, *write_by_value.values()]):
             final_values, seen = self._search_chunk(
                 chunk, possible_values, max_states
@@ -169,11 +175,15 @@ class HistoryChecker:
             )
             # Restart from an unconstrained value so later chunks still
             # get checked instead of cascading failures.
-            possible_values = frozenset({None, *write_by_value})
+            possible_values = frozenset({initial, *write_by_value})
 
+        # A read of the initial value carries a stamp from before the
+        # history, even when a recorded write wrote the same value again.
         violations.extend(
             self._check_write_order(
-                object_id, reads, list(write_by_value.values())
+                object_id,
+                [r for r in reads if r.value != initial],
+                list(write_by_value.values()),
             )
         )
         return violations

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Any, Callable, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Tuple
 
 from repro.common.config import ProxyConfig
 from repro.common.errors import GatherTimeoutError, OperationError
@@ -36,7 +36,6 @@ from repro.common.types import (
     Version,
     VersionStamp,
 )
-from repro.metrics.timeline import EventTimeline
 from repro.obs.context import Observability, tracer_for
 from repro.obs.trace import Span
 from repro.sds.messages import (
@@ -75,6 +74,9 @@ from repro.sim.network import Envelope
 from repro.sim.node import Node
 from repro.sim.primitives import Gate, PendingCounter, Resource, wait_for
 from repro.topk.stats import ProxyStatsRecorder
+
+if TYPE_CHECKING:
+    from repro.metrics.timeline import EventTimeline
 
 #: Wire overhead of a request/reply beyond the object payload, bytes.
 _HEADER_BYTES = 256

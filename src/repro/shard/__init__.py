@@ -23,7 +23,22 @@ The live counterparts live in :mod:`repro.net`: the sharded
 scale-out benchmark (:mod:`repro.net.scaleout`).
 """
 
-from repro.shard.map import ShardMap
-from repro.shard.router import RoutingTable, ShardRouter
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.shard.map import ShardMap
+    from repro.shard.router import RoutingTable, ShardRouter
+
+# Import on use: a live worker reads the spec's ``ShardMap`` and never
+# routes.
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.shard.map": ("ShardMap",),
+        "repro.shard.router": ("RoutingTable", "ShardRouter"),
+    },
+)
 
 __all__ = ["ShardMap", "RoutingTable", "ShardRouter"]

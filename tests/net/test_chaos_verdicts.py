@@ -11,7 +11,6 @@ from repro.net.chaos import (
     KILL_DELAY,
     READBACK,
     ChaosReport,
-    _ReadbackSource,
     build_schedule,
     count_lost_acked_writes,
     replica_recoveries,
@@ -20,6 +19,7 @@ from repro.net.cluster import RestartRecord
 from repro.net.loadgen import (
     LoadgenResult,
     PhaseResult,
+    ReadSweep,
     ShardOutcome,
     metric_value,
 )
@@ -258,7 +258,7 @@ class TestChaosVerdicts:
 class TestReadbackSource:
     def test_cycles_through_every_object(self) -> None:
         objects = ["obj-a", "obj-b", "obj-c"]
-        source = _ReadbackSource(objects=list(objects))
+        source = ReadSweep(objects=list(objects))
         rng = random.Random(0)
         issued = [source.next_operation(rng) for _ in range(7)]
         assert [op.object_id for op in issued] == [

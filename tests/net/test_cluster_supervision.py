@@ -15,6 +15,7 @@ import pytest
 from repro.net import cluster as cluster_module
 from repro.net.cluster import (
     HEALTH_POLL,
+    HEALTH_POLL_FIRST,
     LocalCluster,
     NodeProcess,
     backoff,
@@ -117,7 +118,7 @@ READMITTED = "ok storage-0 shard=shard-0 quarantined=false epoch=1 cfg=1\n"
 
 class TestKillAndRestart:
     """``kill_and_restart`` against fake respawns and an in-process
-    ``/healthz``: no ``serve`` worker is spawned.  All four cases
+    ``/healthz``: no ``serve`` worker is spawned.  All six cases
     together take about 2.3 s of wall time on a 2-core machine."""
 
     def restart(self, monkeypatch, respawns, bodies=None):
@@ -173,9 +174,8 @@ class TestKillAndRestart:
             monkeypatch, respawns=[1, 1, None], bodies=[READMITTED]
         )
         assert record.restart_attempts == 3
-        assert [s for s in sleeps if s not in (0.0, HEALTH_POLL)] == [
-            0.2, 0.4
-        ]
+        # Restart backoffs are the pauses longer than any poll pause.
+        assert [s for s in sleeps if s > HEALTH_POLL] == [0.2, 0.4]
         assert record.problem is None
         assert record.recovery_seconds is not None
 
@@ -187,9 +187,8 @@ class TestKillAndRestart:
             "storage-0: did not come back healthy after 3 restart attempts"
         )
         assert record.recovery_seconds is None
-        assert [s for s in sleeps if s not in (0.0, HEALTH_POLL)] == [
-            0.2, 0.4
-        ]
+        # Restart backoffs are the pauses longer than any poll pause.
+        assert [s for s in sleeps if s > HEALTH_POLL] == [0.2, 0.4]
 
     def test_waits_out_quarantine(self, monkeypatch) -> None:
         record, _ = self.restart(
@@ -200,8 +199,23 @@ class TestKillAndRestart:
         assert record.restart_attempts == 1
         assert record.quarantine_observed is True
         assert record.recovery_seconds is not None
-        assert record.recovery_seconds >= HEALTH_POLL
+        assert record.recovery_seconds >= HEALTH_POLL_FIRST
         assert record.problem is None
+
+    def test_poll_pauses_double_from_10_ms_to_the_cap(
+        self, monkeypatch
+    ) -> None:
+        """Readiness is not quantised at the cap: the first re-poll
+        waits 10 ms and each later pause doubles up to ``HEALTH_POLL``."""
+        record, sleeps = self.restart(
+            monkeypatch,
+            respawns=[None],
+            bodies=[QUARANTINED] * 7 + [READMITTED],
+        )
+        assert record.problem is None
+        assert sleeps == pytest.approx(
+            [0.0, 0.01, 0.02, 0.04, 0.08, 0.1, 0.1]
+        )
 
     def test_quarantine_seen_only_by_the_health_poll_is_observed(
         self, monkeypatch

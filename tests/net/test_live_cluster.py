@@ -16,7 +16,7 @@ import pytest
 
 from repro.net.cluster import allocate_ports
 from repro.net.httpd import http_get
-from repro.net.loadgen import LoadGenerator, metric_value
+from repro.net.loadgen import LoadGenerator, metric_value, run_bench
 from repro.net.runtime import NodeRuntime
 from repro.net.spec import build_spec
 from repro.obs.exporters import parse_prometheus_text
@@ -110,6 +110,35 @@ def test_live_cluster_reconfigures_and_stays_linearizable() -> None:
                 )
         finally:
             await generator.stop()
+            for runtime in runtimes:
+                await runtime.stop()
+
+    asyncio.run(scenario())
+
+
+def test_same_seed_reruns_against_one_cluster_are_linearizable() -> None:
+    """``loadgen --spec`` run twice against one running cluster: the
+    second run writes the first run's tokens again and first reads what
+    the first run left, which its checker takes as initial values."""
+
+    async def scenario() -> None:
+        spec = allocate_ports(
+            build_spec(replicas=5, proxies=1, write_quorum=4, seed=7)
+        )
+        runtimes = [
+            NodeRuntime(spec, address.name)
+            for address in spec.all_addresses()
+        ]
+        for runtime in runtimes:
+            await runtime.start()
+        try:
+            for _ in range(2):
+                result = await run_bench(
+                    spec, [4], duration=0.6, clients=4, objects=8, seed=7
+                )
+                assert result.phases[0].operations > 0
+                assert result.linearizable is True, result.render()
+        finally:
             for runtime in runtimes:
                 await runtime.stop()
 

@@ -264,3 +264,35 @@ class TestCheckerDetectsViolations:
         checker.record(self._read(0.0, 0.5, None, stamp_time=float("-inf")))
         checker.record(self._write(1.0, 2.0, b"v1"))
         assert checker.check() == []
+
+    def test_given_initial_value_is_what_a_first_read_may_see(self):
+        """A history taken against a store an earlier run wrote to: the
+        first read sees that run's value, which no recorded write wrote."""
+        checker = HistoryChecker(initial={"x": b"old"})
+        checker.record(self._read(0.0, 0.5, b"old", stamp_time=0.1))
+        checker.record(self._write(1.0, 2.0, b"v1"))
+        checker.record(self._read(3.0, 3.5, b"v1", stamp_time=1.0))
+        assert checker.check() == []
+        assert {v.kind for v in HistoryChecker(checker.records).check()} == {
+            "fabricated-value"
+        }
+
+    def test_initial_value_written_again_by_the_history(self):
+        """A same-seed rerun writes the earlier run's tokens again: a read
+        of the initial value before the rewrite linearizes at the start,
+        and its old stamp does not count against the rewrite's."""
+        checker = HistoryChecker(initial={"x": b"v2"})
+        checker.record(self._read(0.0, 0.5, b"v2", stamp_time=0.1))
+        checker.record(self._write(1.0, 2.0, b"v1"))
+        checker.record(self._read(2.5, 2.8, b"v1", stamp_time=1.0))
+        checker.record(self._write(3.0, 4.0, b"v2"))
+        checker.record(self._read(5.0, 5.5, b"v2", stamp_time=3.0))
+        assert checker.check() == []
+        kinds = {v.kind for v in HistoryChecker(checker.records).check()}
+        assert kinds == {"non-linearizable", "write-order-inversion"}
+
+    def test_initial_value_still_bounds_later_reads(self):
+        checker = HistoryChecker(initial={"x": b"old"})
+        checker.record(self._write(0.0, 1.0, b"v1"))
+        checker.record(self._read(2.0, 3.0, b"old", stamp_time=0.1))
+        self._rejects_read_at(checker, 2.0)

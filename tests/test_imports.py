@@ -1,6 +1,6 @@
 """Import contracts: what loads what, checked in fresh interpreters.
 
-Four promises, none of which an in-process test can check (this
+Five promises, none of which an in-process test can check (this
 process imported everything long ago):
 
 * every live-runtime module can be the *first* ``repro`` import of a
@@ -10,10 +10,13 @@ process imported everything long ago):
   its protocol node, and none of the experiment stack (numpy, analysis,
   Oracle, harness, workloads, autonomic loop, qlint) nor the drivers of
   the other commands (bench, loadgen, cluster supervisor, chaos);
+* nor any module of another role: a storage worker runs no proxy, RM,
+  top-k or nemesis code, a proxy no storage, WAL or RM code, and the RM
+  no proxy, storage, WAL or top-k code;
 * building the one command tree imports no command's module;
 * the lazy package exports resolve to exactly what ``__all__`` lists.
 
-Wall time: ~3 s (twelve short-lived subprocesses).
+Wall time: ~5 s (twenty-one short-lived subprocesses).
 """
 
 from __future__ import annotations
@@ -46,6 +49,27 @@ WORKER_FORBIDDEN = (
     "repro.net.smoke",
     "repro.net.scaleout",
 )
+
+#: What each role's worker must not load on top of ``WORKER_FORBIDDEN``.
+ROLE_FORBIDDEN = {
+    "storage-0": (
+        "repro.sds.proxy",
+        "repro.reconfig",
+        "repro.topk",
+        "repro.sim.nemesis",
+    ),
+    "proxy-0": (
+        "repro.sds.storage",
+        "repro.sds.persistence",
+        "repro.reconfig",
+    ),
+    "reconfig-manager-0": (
+        "repro.sds.proxy",
+        "repro.sds.storage",
+        "repro.sds.persistence",
+        "repro.topk",
+    ),
+}
 
 #: Runs ``python -m repro serve`` for one node up to the point where the
 #: runtime would start listening, then reports what got imported.
@@ -124,6 +148,14 @@ def test_serve_worker_loads_no_experiment_stack(node: str, built: str) -> None:
     assert _banned(report["modules"], WORKER_FORBIDDEN) == []
 
 
+@pytest.mark.parametrize("node", sorted(ROLE_FORBIDDEN))
+def test_serve_worker_loads_no_other_role(node: str) -> None:
+    result = _python("-c", _WORKER_SCRIPT, str(SPEC), node)
+    assert result.returncode == 0, result.stderr
+    modules = json.loads(result.stdout)["modules"]
+    assert _banned(modules, ROLE_FORBIDDEN[node]) == []
+
+
 def test_building_the_command_tree_imports_no_command() -> None:
     script = (
         "import json, sys\n"
@@ -137,7 +169,19 @@ def test_building_the_command_tree_imports_no_command() -> None:
     assert _banned(modules, ("numpy", "repro.qlint", "repro.harness")) == []
 
 
-@pytest.mark.parametrize("package", ["repro", "repro.sds"])
+@pytest.mark.parametrize(
+    "package",
+    [
+        "repro",
+        "repro.sds",
+        "repro.sim",
+        "repro.reconfig",
+        "repro.obs",
+        "repro.metrics",
+        "repro.shard",
+        "repro.topk",
+    ],
+)
 def test_lazy_exports_match_dunder_all(package: str) -> None:
     """Every advertised name resolves, in a process that imported
     nothing else first, and ``import *`` sees all of them."""
